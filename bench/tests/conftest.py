@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+ROOT = BENCH.parent
+for p in (str(BENCH), str(ROOT / "src")):
+    if p not in sys.path:
+        sys.path.insert(0, p)
