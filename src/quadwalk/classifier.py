@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curve import critical_sets, curve_zeros
+from .curve import CriticalSets, critical_sets, curve_zeros
 from .enumerator import axis_series_to_poly, enumerate_walks, specialize
 from .errors import (
     CoverageGap,
@@ -332,21 +332,23 @@ def inhomogeneous_analysis(model: Model, M1: DistanceMatrix, M2: DistanceMatrix)
     return "inconclusive"
 
 
-def edge_case_checks(model: Model, M2: DistanceMatrix | None = None) -> dict:
+def edge_case_checks(model: Model, M2: DistanceMatrix | None = None,
+                     sets: CriticalSets | None = None) -> dict:
     """The two computational facts behind the S1, B = 1/2, A != 1/2
     verdict: (a) the unique nonnegative entry of M2 is the diagonal
     delta(i2 P4, P4) = 1; (b) u*gamma2 vanishes exactly at P4 and
     i2 P4.  Raises EvidenceFailed if either fails."""
     if not (model.tag == "S1" and model.B == HALF and model.A != HALF):
         raise ValueError("edge case checks require S1 with B = 1/2, A != 1/2")
+    if sets is None:
+        sets = critical_sets(model)
     if M2 is None:
-        _, M2 = build_matrices(model)
+        _, M2 = build_matrices(model, sets)
     nonneg = M2.nonnegative_entries()
     if len(nonneg) != 1 or nonneg[0][2] != 1 or nonneg[0][:2] not in ((2, 2), (3, 3)):
         raise EvidenceFailed(f"nonnegative M2 entries {nonneg} are not the single "
                              "diagonal +1 in the gamma2 block")
     k = nonneg[0][0]  # 2 or 3: which of P3/P4 carries the pole pair
-    sets = critical_sets(model)
     p = sets.L2_plus[k]
     i2p = sets.L2_minus[k]
     u = _u_lambda(model, HALF)
@@ -461,7 +463,8 @@ def classify(model: Model, window: int = 5) -> Classification:
                       "evidence": "pair built from the u-split at lam=A"})
         return Classification("Rational", {"Qx0": fx, "Q0y": fy}, trail)
 
-    M1, M2 = build_matrices(model, window=window)
+    sets = critical_sets(model)
+    M1, M2 = build_matrices(model, sets, window=window)
 
     hom = homogeneous_analysis(model, M1)
     if hom.kind == "solution":
@@ -486,7 +489,7 @@ def classify(model: Model, window: int = 5) -> Classification:
                       "evidence": {"matrix": M2.to_jsonable()}})
         return Classification("NotDAlgebraic", None, trail)
     if verdict == "edge-case":
-        checks = edge_case_checks(model, M2)
+        checks = edge_case_checks(model, M2, sets)
         trail.append({"rule": "edge-case-S1-half", "evidence": checks})
         return Classification("NotDAlgebraic", None, trail)
     raise CoverageGap(f"no classification rule fired for {model!r}")

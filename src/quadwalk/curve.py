@@ -17,6 +17,16 @@ of the quadratic have an explicit sum, hence
 with no division by a vanishing coordinate anywhere.  These agree with
 the product-of-roots (quotient) form whenever the latter is defined.
 
+The critical points, the critical sets and the orbit base points are
+all checked to lie on the curve.  The check (on_curve) clears
+denominators instead of normalising in Q(t): writing each coordinate as
+(P + Q w)/L with P, Q, L in Q[t] and w^2 = Dn/Dd the radicand of its
+extension, C(x1, y1) Lx^2 Ly^2 Dd = R + Dd S w with R, S built from
+polynomial products and sums alone.  The point is on the curve iff
+R = S = 0, exactly, because the radicand is not a square in Q(t), so 1
+and w are linearly independent over Q(t).  evaluate_xy stays as the
+generic evaluator and as the reference the tests compare with.
+
 Critical points: the zeros of gamma1 on the curve satisfy, for A != 0,
 the quadratic obtained by substituting y1 = A x1 / (t d1m1) into C = 0;
 for A = 0 they are the two points with y = infinity, whose x1 values
@@ -121,8 +131,46 @@ def evaluate_xy(p: XYPoly, x_val: QuadExtElem, y_val: QuadExtElem) -> QuadExtEle
     return total
 
 
+def _cleared(c: QuadExtElem):
+    """(P, Q, L) in Q[t] with c = (P + Q w)/L, read off the stored
+    numerators and denominators without any gcd."""
+    p, q = c.p, c.q
+    if q.is_zero():
+        return p.num, q.num, p.den
+    return p.num * q.den, q.num * p.den, p.den * q.den
+
+
 def on_curve(model: Model, pt: CurvePoint) -> bool:
-    return evaluate_xy(curve_equation(model), pt.x1, pt.y1).is_zero()
+    """Exact test of C(x1, y1) = 0, fraction-free.
+
+    With x1 = (Px + Qx w)/Lx, y1 = (Py + Qy w)/Ly and w^2 = Dn/Dd, the
+    product C(x1, y1) Lx^2 Ly^2 Dd equals R + Dd S w for polynomials R,
+    S in Q[t] built from the numerators by ring operations alone.  1 and
+    w are linearly independent over Q(t) (QuadExt refuses a square
+    radicand), so the point is on the curve iff R = S = 0.  Coordinates
+    in distinct extensions raise ValueError.
+    """
+    ctx = pt.x1._join_ctx(pt.y1)
+    px, qx, lx = _cleared(pt.x1)
+    py, qy, ly = _cleared(pt.y1)
+    # common denominator L: x1 = (U + U' w)/L, y1 = (V + V' w)/L, and
+    # L^2 C is the homogenised curve equation at (U + U' w, V + V' w, L)
+    u, v, el = px * ly, py * lx, lx * ly
+    a, b = model.d(1, -1), model.d(-1, 1)
+    c, e, f = model.d(1, 0), model.d(0, 1), model.d(1, 1)
+    rat = u * v - (
+        v * (v.scale(a) + el.scale(c)) + u * (u.scale(b) + el.scale(e)) + (el * el).scale(f)
+    ).shift(1)
+    if ctx is None:
+        return rat.is_zero()
+    u2, v2 = qx * ly, qy * lx
+    rad_sq = u2 * v2 - (v2 * v2.scale(a) + u2 * u2.scale(b)).shift(1)
+    s = u * v2 + u2 * v - (
+        v * v2.scale(2 * a) + u * u2.scale(2 * b) + el * (v2.scale(c) + u2.scale(e))
+    ).shift(1)
+    if not s.is_zero():
+        return False
+    return (rat * ctx.D.den + rad_sq * ctx.D.num).is_zero()
 
 
 def _require_on_curve(model: Model, pt: CurvePoint):
@@ -274,21 +322,23 @@ class CriticalSets:
 
 
 def critical_sets(model: Model) -> CriticalSets:
+    """Each distinct point is built once and shared by the lists that
+    use it; P1..P4 were checked by critical_points, the eight images
+    are checked here."""
     p1, p2, p3, p4 = critical_points(model)
     i1 = lambda q: apply_iota1(model, q, check=False)
     i2 = lambda q: apply_iota2(model, q, check=False)
-    sets = CriticalSets(
-        L1_minus=[p1, p2, i2(p3), i2(p4)],
-        L1_plus=[i1(p1), i1(p2), apply_sigma_inverse(model, p3, False),
-                 apply_sigma_inverse(model, p4, False)],
-        L2_minus=[apply_sigma(model, p1, False), apply_sigma(model, p2, False),
-                  i2(p3), i2(p4)],
-        L2_plus=[i1(p1), i1(p2), p3, p4],
+    i1p1, i1p2, i2p3, i2p4 = i1(p1), i1(p2), i2(p3), i2(p4)
+    sp1, sp2 = i2(i1p1), i2(i1p2)  # sigma = iota2 . iota1
+    si3, si4 = i1(i2p3), i1(i2p4)  # sigma^-1 = iota1 . iota2
+    for p in (i1p1, i1p2, i2p3, i2p4, sp1, sp2, si3, si4):
+        _require_on_curve(model, p)
+    return CriticalSets(
+        L1_minus=[p1, p2, i2p3, i2p4],
+        L1_plus=[i1p1, i1p2, si3, si4],
+        L2_minus=[sp1, sp2, i2p3, i2p4],
+        L2_plus=[i1p1, i1p2, p3, p4],
     )
-    for group in (sets.L1_minus, sets.L1_plus, sets.L2_minus, sets.L2_plus):
-        for p in group:
-            _require_on_curve(model, p)
-    return sets
 
 
 # -- zeros and divisors of curve functions ------------------------------

@@ -31,7 +31,12 @@ from .curve import (
     critical_sets,
     on_curve,
 )
-from .errors import OffCurveInput, OrbitRegimeNotReached, RegimeNotApplicable
+from .errors import (
+    OffCurveInput,
+    OrbitRegimeNotReached,
+    RegimeNotApplicable,
+    TableCellMismatch,
+)
 from .exactalg import INF, t_valuation
 from .model import Model
 
@@ -275,7 +280,7 @@ def build_matrices(model: Model, sets: CriticalSets | None = None,
         for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
             direct = dist(sets.L2_minus[i], sets.L2_plus[j])
             if direct != m2[i][j]:
-                raise AssertionError(
+                raise TableCellMismatch(
                     f"M2[{i}][{j}] direct value {direct} != shifted {m2[i][j]}"
                 )
     return M1, M2

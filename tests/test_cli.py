@@ -1,7 +1,12 @@
 """Command-line front end: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +123,39 @@ def test_contract_violation_exit_code(s3_file, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod.classifier, "classify", broken)
     assert main(["classify", "--model", s3_file]) == EXIT_CONTRACT
     assert "verification failure" in capsys.readouterr().err
+
+
+# Runs `python -m quadwalk.cli matrix` with P3 and P4 swapped in the L2+
+# list, so the M2 spot check in build_matrices fails.
+_TAMPERED_CLI = textwrap.dedent("""
+    import runpy, sys
+    import quadwalk.sigmadist as sd
+
+    if not sys.flags.optimize:
+        sys.exit("expected python -O")
+    real = sd.critical_sets
+
+    def tampered(model):
+        sets = real(model)
+        sets.L2_plus[2], sets.L2_plus[3] = sets.L2_plus[3], sets.L2_plus[2]
+        return sets
+
+    sd.critical_sets = tampered
+    sys.argv = ["quadwalk", "matrix", "--model", sys.argv[1]]
+    runpy.run_module("quadwalk.cli", run_name="__main__")
+""")
+
+
+def test_contract_violation_exit_code_optimized(s3_file):
+    # a broken contract must end in exit 2, also when asserts are gone
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_CLI, s3_file],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONTRACT, proc.stderr
+    assert "verification failure" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_subcommand(tmp_path, capsys):

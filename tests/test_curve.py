@@ -8,6 +8,7 @@ import pytest
 
 from quadwalk.curve import (
     CurvePoint,
+    _solve_quadratic,
     apply_iota1,
     apply_iota2,
     apply_sigma,
@@ -24,6 +25,7 @@ from quadwalk.errors import OffCurveInput
 from quadwalk.exactalg import (
     INF,
     Poly,
+    QuadExt,
     QuadExtElem,
     RatFunc,
     XYPoly,
@@ -102,10 +104,89 @@ def test_orbit_stays_on_curve(s3_unit):
         assert apply_iota1(s3_unit, cur, check=False).x1.equals(cur.x1)
 
 
+def _on_curve_reference(m, pt):
+    return evaluate_xy(curve_equation(m), pt.x1, pt.y1).is_zero()
+
+
+def _mixed_points(m):
+    """Curve points with one rational and one irrational coordinate: the
+    fibers over x1 = 1 and y1 = 1.  Their discriminants 1 - 2ct + ... and
+    1 - 2et + ... are non-squares, with t-discriminants 16 a (b + e + f)
+    and 16 b (a + c + f) nonzero because a = d1m1 and b = dm11 are."""
+    t = RatFunc.gen()
+    one = QuadExtElem(RatFunc.const(1))
+    ys = _solve_quadratic(-t * m.d(1, -1), 1 - t * m.d(1, 0),
+                          -t * (m.d(-1, 1) + m.d(0, 1) + m.d(1, 1)))
+    xs = _solve_quadratic(-t * m.d(-1, 1), 1 - t * m.d(0, 1),
+                          -t * (m.d(1, -1) + m.d(1, 0) + m.d(1, 1)))
+    return [CurvePoint(one, y) for y in ys] + [CurvePoint(x, one) for x in xs]
+
+
+def _off_curve_variants(m, pt):
+    """Perturbations of a curve point that leave the curve: x1 + t^3,
+    2 y1, x1 conjugated, and the swapped point.  Changing one coordinate
+    stays on the curve only when the new value is the other root of its
+    fiber, i.e. the image under an involution; swapping stays on it only
+    when x1 = y1 or (a - b)(x1 + y1) = e - c, because C(y1, x1) - C(x1,
+    y1) = -t (x1 - y1)((a - b)(x1 + y1) + c - e)."""
+    t3 = QuadExtElem(RatFunc(T * T * T))
+    moved = [CurvePoint(pt.x1 + t3, pt.y1), CurvePoint(pt.x1, pt.y1 * 2)]
+    if not pt.x1.is_rational():
+        moved.append(CurvePoint(pt.x1.conjugate(), pt.y1))
+    fiber = (pt, apply_iota1(m, pt, False), apply_iota2(m, pt, False))
+    out = [q for q in moved if q not in fiber]
+    a, b, c, e = m.d(1, -1), m.d(-1, 1), m.d(1, 0), m.d(0, 1)
+    if not (pt.x1 == pt.y1 or ((a - b) * (pt.x1 + pt.y1) + (c - e)).is_zero()):
+        out.append(CurvePoint(pt.y1, pt.x1))
+    return out
+
+
+def _over_fractional_radicand(pt):
+    """pt written over the radicand D/(1 + t)^2, whose selected root is
+    +-w/(1 + t); either sign gives a curve point, as conjugate points lie
+    on the curve together."""
+    g = RatFunc(Poly([1, 1]))
+    ctx = QuadExt((pt.x1.ctx or pt.y1.ctx).D / (g * g))
+    return CurvePoint(*(QuadExtElem(c.p, c.q * g, ctx) for c in (pt.x1, pt.y1)))
+
+
+def test_on_curve_matches_reference(rng):
+    # the fraction-free check against evaluate_xy: true on critical
+    # sets, sigma orbits, mixed rational/irrational points and points
+    # over a radicand with a denominator, false on perturbations of the
+    # critical and mixed points
+    for tag in SUPPORTS:
+        m = random_model(tag, rng)
+        s = critical_sets(m)
+        pts = s.L1_minus + s.L1_plus + s.L2_minus[:2] + _mixed_points(m)
+        assert any(p.x1.is_rational() != p.y1.is_rational() for p in pts)
+        off = [q for p in pts for q in _off_curve_variants(m, p)]
+        # w^2 = -(b + e + f)/a gives C(1, w) = (1 - ct) w: only the
+        # radical part is nonzero
+        radicand = RatFunc.const(-(m.d(-1, 1) + m.d(0, 1) + m.d(1, 1)) / m.d(1, -1))
+        off.append(CurvePoint(QuadExtElem(RatFunc.const(1)), QuadExtElem.sqrt(QuadExt(radicand))))
+        pts += [_over_fractional_radicand(p) for p in pts
+                if not (p.x1.is_rational() and p.y1.is_rational())]
+        for base in (s.L1_minus[0], s.L2_plus[2]):  # P1, P3
+            fwd = bwd = base
+            for _ in range(3):
+                fwd = apply_sigma(m, fwd, check=False)
+                bwd = apply_sigma_inverse(m, bwd, check=False)
+                pts += [fwd, bwd]
+        for p in pts:
+            assert on_curve(m, p) and _on_curve_reference(m, p)
+        for q in off:
+            assert not on_curve(m, q) and not _on_curve_reference(m, q), (tag, q)
+
+
 def test_off_curve_rejected(s3_unit):
-    bad = CurvePoint(QuadExtElem(RatFunc.const(1)), QuadExtElem(RatFunc.const(1)))
-    with pytest.raises(OffCurveInput):
-        apply_iota1(s3_unit, bad)
+    one = QuadExtElem(RatFunc.const(1))
+    p1 = critical_points(s3_unit)[0]
+    mixed = _mixed_points(s3_unit)[0]
+    for bad in ([CurvePoint(one, one)] + _off_curve_variants(s3_unit, p1)
+                + _off_curve_variants(s3_unit, mixed)):
+        with pytest.raises(OffCurveInput):
+            apply_iota1(s3_unit, bad)
 
 
 def test_critical_sets_structure():
@@ -163,6 +244,8 @@ def test_point_equality_across_extensions():
         for q in (p3, p4):
             assert p != q
     assert p1 == p1 and p3 == p3
+    with pytest.raises(ValueError):
+        on_curve(m, CurvePoint(p1.x1, p3.y1))
 
 
 def test_coordinate_expansion_satisfies_minimal_polynomial():

@@ -14,7 +14,7 @@ from quadwalk.curve import (
     critical_points,
     critical_sets,
 )
-from quadwalk.errors import RegimeNotApplicable
+from quadwalk.errors import ContractViolation, RegimeNotApplicable
 from quadwalk.exactalg import INF, QuadExtElem, RatFunc
 from quadwalk.model import make_model
 from quadwalk.sigmadist import (
@@ -175,6 +175,15 @@ def test_matrix_direct_entries(s3_unit):
         for j in range(4):
             direct = sigma_distance(s3_unit, sets.L1_minus[i], sets.L1_plus[j])
             assert direct == M1.entries[i][j]
+
+
+def test_spot_check_mismatch_is_contract_violation(s3_unit):
+    # P3 and P4 swapped in L2+: the direct M2[3][3] no longer matches
+    # the value shifted from M1
+    sets = critical_sets(s3_unit)
+    sets.L2_plus[2], sets.L2_plus[3] = sets.L2_plus[3], sets.L2_plus[2]
+    with pytest.raises(ContractViolation, match=r"M2\[3\]\[3\]"):
+        build_matrices(s3_unit, sets)
 
 
 def test_edge_case_matrix_fact():
