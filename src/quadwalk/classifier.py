@@ -390,15 +390,8 @@ class ClosedForm:
         return f"1/sqrt(1 - {self.var}^2*{r})"
 
     def expand(self, order: int) -> TSeries:
-        rt = expand_ratfunc(self.ratio, order)
-        terms = {int(e): c.a for e, c in rt.term_dict().items()}
-        var_poly = Poly.gen(self.var)
         power = 1 if self.kind == "geometric" else 2
-        coeffs = [
-            Poly.zero(self.var) if k not in terms
-            else Poly.monomial(-terms[k], power, self.var)
-            for k in range(order + 1)
-        ]
+        coeffs = [Poly.monomial(-c, power, self.var) for c in expand_ratfunc(self.ratio, order)]
         body = TSeries.const(1, order, self.var) + TSeries(coeffs, order, self.var)
         return body.inverse() if self.kind == "geometric" else body.inv_sqrt()
 
@@ -443,7 +436,7 @@ class Classification:
         return json.dumps(self.to_jsonable(), sort_keys=True)
 
 
-def classify(model: Model, window: int = 5) -> Classification:
+def classify(model: Model) -> Classification:
     """Theorem-level verdict with a machine-checked evidence trail.
 
     Rational and algebraic verdicts carry closed forms; every
@@ -464,7 +457,7 @@ def classify(model: Model, window: int = 5) -> Classification:
         return Classification("Rational", {"Qx0": fx, "Q0y": fy}, trail)
 
     sets = critical_sets(model)
-    M1, M2 = build_matrices(model, sets, window=window)
+    M1, M2 = build_matrices(model, sets)
 
     hom = homogeneous_analysis(model, M1)
     if hom.kind == "solution":

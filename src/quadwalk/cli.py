@@ -8,8 +8,9 @@ Subcommands:
               random weightings
   phase-scan  exact boundary-contact ratios over an (a, b) grid (CSV)
 
-Exit codes: 0 success, 1 malformed input, 2 a verification contract
-failed (coverage gap, evidence failure, oracle mismatch).
+Exit codes: 0 success, 1 malformed input or a usage error, 2 a
+verification contract failed (coverage gap, evidence failure, oracle
+mismatch).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _emit_text(payload, indent=0):
 
 def cmd_classify(args) -> int:
     m = _load_model(args.model)
-    result = classifier.classify(m, window=args.window)
+    result = classifier.classify(m)
     payload = {"model": json.loads(model_to_json(m)), **result.to_jsonable()}
     _emit(args, payload)
     return EXIT_OK
@@ -95,7 +96,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_matrix(args) -> int:
     m = _load_model(args.model)
-    M1, M2 = build_matrices(m, window=args.window)
+    M1, M2 = build_matrices(m)
     payload = {"M1": M1.to_jsonable(), "M2": M2.to_jsonable()}
     _emit(args, payload)
     return EXIT_OK
@@ -133,11 +134,9 @@ def cmd_phase_scan(args) -> int:
     """Exact contact ratios [t^n]Q(1,0)/[t^n]Q(1,1) and the y-axis
     counterpart over an (a, b) grid; raw exploratory data only."""
     m0 = _load_model(args.model)
-    a_values = [rat_from_string(s) for s in args.a_values.split(",")]
-    b_values = [rat_from_string(s) for s in args.b_values.split(",")]
     rows = ["a,b,n,ratio_x_axis,ratio_y_axis"]
-    for a in a_values:
-        for b in b_values:
+    for a in args.a_values:
+        for b in args.b_values:
             m = build_model(
                 m0.stepset, Weighting(d=dict(m0.weighting.d), a=a, b=b)
             )
@@ -174,56 +173,66 @@ def _decimal(r: Fraction, digits: int = 12) -> str:
     return f"{sign}{whole}." + ("".join(out) if out else "0")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_BAD_INPUT, not argparse's 2, which
+    here means a verification contract failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _nonneg(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("order must be nonnegative")
+    return n
+
+
+def _rationals(text):
+    try:
+        return [rat_from_string(s) for s in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
+
+
+_FLAGS = {
+    "--model": dict(required=True, help="path to a model JSON file"),
+    "--order": dict(type=_nonneg, default=12, help="series truncation order N (default 12)"),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--seed": dict(type=int, default=0, help="seed for randomized weight grids"),
+    "--trials": dict(type=int, default=2, help="random weightings per step set (default 2)"),
+    "--a-values": dict(type=_rationals, default="1/2,1,2,3",
+                       help="comma-separated rationals for a"),
+    "--b-values": dict(type=_rationals, default="1/2,1,2,3",
+                       help="comma-separated rationals for b"),
+}
+
+# each subcommand takes exactly the flags its handler reads
+_COMMANDS = (
+    ("classify", cmd_classify, "classify Q(x,y) with evidence", ("--model", "--format")),
+    ("enumerate", cmd_enumerate, "series truncation of Q(x,y)",
+     ("--model", "--order", "--format")),
+    ("matrix", cmd_matrix, "sigma-distance matrices M1, M2", ("--model", "--format")),
+    ("verify", cmd_verify, "oracle checks on random weightings",
+     ("--order", "--seed", "--trials", "--format")),
+    ("phase-scan", cmd_phase_scan, "contact-ratio scan over (a,b)",
+     ("--model", "--order", "--a-values", "--b-values")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadwalk",
         description="Exact classification of quadrant-walk generating "
         "functions with interacting boundaries (genus-zero step sets).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def nonneg(text):
-        n = int(text)
-        if n < 0:
-            raise argparse.ArgumentTypeError("order must be nonnegative")
-        return n
-
-    def common(p, model_required=True):
-        p.add_argument("--model", required=model_required,
-                       help="path to a model JSON file")
-        p.add_argument("--order", type=nonneg, default=12,
-                       help="series truncation order N (default 12)")
-        p.add_argument("--window", type=int, default=5, choices=range(2, 13),
-                       metavar="[2-12]", help="orbit window W (default 5)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized weight grids")
-
-    p = sub.add_parser("classify", help="classify Q(x,y) with evidence")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("enumerate", help="series truncation of Q(x,y)")
-    common(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("matrix", help="sigma-distance matrices M1, M2")
-    common(p)
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("verify", help="oracle checks on random weightings")
-    common(p, model_required=False)
-    p.add_argument("--trials", type=int, default=2,
-                   help="random weightings per step set (default 2)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("phase-scan", help="contact-ratio scan over (a,b)")
-    common(p)
-    p.add_argument("--a-values", default="1/2,1,2,3",
-                   help="comma-separated rationals for a")
-    p.add_argument("--b-values", default="1/2,1,2,3",
-                   help="comma-separated rationals for b")
-    p.set_defaults(func=cmd_phase_scan)
+    for name, func, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -39,7 +39,6 @@ computed entries must allow the swap within each pair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,20 +76,6 @@ class CurvePoint:
 
     def __repr__(self):
         return f"CurvePoint(x1={self.x1!r}, y1={self.y1!r})"
-
-    def to_debug_json(self) -> str:
-        return json.dumps(
-            {"x1": _coord_debug(self.x1), "y1": _coord_debug(self.y1)},
-            sort_keys=True,
-        )
-
-
-def _coord_debug(c: QuadExtElem):
-    mp = [str(z) for z in c.minimal_poly_coeffs()]
-    if c.is_zero():
-        return {"min_poly": mp, "leading_term": None}
-    e, lead = c.leading_term()
-    return {"min_poly": mp, "leading_term": [str(e), str(lead)]}
 
 
 def _as_elem(v) -> QuadExtElem:

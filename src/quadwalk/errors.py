@@ -14,14 +14,6 @@ class ZeroDenominator(QuadwalkError):
     pass
 
 
-class BothConstantInVariable(QuadwalkError):
-    pass
-
-
-class RootSelectorInconsistent(QuadwalkError):
-    pass
-
-
 class InvalidSupport(QuadwalkError):
     pass
 
@@ -53,15 +45,6 @@ class OffCurveInput(QuadwalkError):
     pass
 
 
-class OmegaPoint(QuadwalkError):
-    """Kept for API completeness: the affine reciprocal chart cannot
-    represent the singular corner, so this never fires in practice."""
-
-
-class DegenerateWeights(QuadwalkError):
-    pass
-
-
 class IdenticallyZeroOnCurve(QuadwalkError):
     pass
 
@@ -74,7 +57,12 @@ class RegimeNotApplicable(QuadwalkError):
     pass
 
 
-class OrbitRegimeNotReached(QuadwalkError):
+class DegenerateWeights(ContractViolation):
+    """A discriminant factor of the critical points vanished, which no
+    valid model allows."""
+
+
+class OrbitRegimeNotReached(ContractViolation):
     def __init__(self, window):
         self.window = window
         super().__init__(f"orbit valuation regime not certified within window {window}")

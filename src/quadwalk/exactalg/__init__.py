@@ -1,64 +1,34 @@
 """Exact arithmetic foundation: rationals, polynomials, rational
-functions in t, quadratic extensions of Q(t), truncated Puiseux series,
-and the bivariate helpers the curve and classifier layers build on.
+functions in t, quadratic extensions of Q(t) with exact valuations,
+truncated power series for the closed forms, and the bivariate helpers
+the curve and classifier layers build on.
 
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share across threads.
 """
 
 from .poly import Poly, poly_is_square
-from .puiseux import PuiseuxTrunc, expand_ratfunc, puiseux_expand
-from .quadext import QuadExt, QuadExtElem, sqrt_with_selector, t_valuation
-from .ratfunc import RatFunc, ratfunc_is_square, ratfunc_normalize
-from .rationals import (
-    INF,
-    Rat,
-    SqrtPair,
-    rat_from_string,
-    rat_to_string,
-    sqrt_fraction,
-    squarefree_decompose,
-)
+from .puiseux import expand_ratfunc
+from .quadext import QuadExt, QuadExtElem
+from .ratfunc import RatFunc, ratfunc_is_square
+from .rationals import INF, SqrtPair, rat_from_string, rat_to_string
 from .tseries import TSeries
-from .xypoly import XYPoly, reduce_mod, resultant, xpoly_is_square
-
-
-def is_square(p):
-    """Square test with witness for Poly over Q; plain test for the
-    richer coefficient domains."""
-    if isinstance(p, Poly):
-        return poly_is_square(p)
-    if isinstance(p, RatFunc):
-        return ratfunc_is_square(p)
-    if isinstance(p, XYPoly):
-        return xpoly_is_square(p), None
-    raise TypeError(f"no square test for {type(p).__name__}")
-
+from .xypoly import XYPoly, reduce_mod, xpoly_is_square
 
 __all__ = [
     "INF",
     "Poly",
-    "PuiseuxTrunc",
     "QuadExt",
     "QuadExtElem",
-    "Rat",
     "RatFunc",
     "SqrtPair",
     "TSeries",
     "XYPoly",
     "expand_ratfunc",
-    "is_square",
     "poly_is_square",
-    "puiseux_expand",
     "rat_from_string",
     "rat_to_string",
     "ratfunc_is_square",
-    "ratfunc_normalize",
     "reduce_mod",
-    "resultant",
-    "sqrt_fraction",
-    "sqrt_with_selector",
-    "squarefree_decompose",
-    "t_valuation",
     "xpoly_is_square",
 ]

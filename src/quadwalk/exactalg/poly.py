@@ -74,9 +74,6 @@ class Poly:
                 return c
         raise ValueError("low coefficient of zero polynomial")
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def monic(self):
         if self.is_zero():
             return self
@@ -164,12 +161,6 @@ class Poly:
             r = r - mono * other
         return q, r
 
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def divexact(self, other):
         q, r = self.divmod(other)
         if not r.is_zero():
@@ -192,20 +183,6 @@ class Poly:
             r = _int_prem(a, b)
             a, b = b, _int_content_free(r)
         return Poly([Fraction(c, a[-1]) for c in a], self.var)
-
-    def derivative(self):
-        if len(self.coeffs) <= 1:
-            return Poly.zero(self.var)
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:], self.var)
-
-    def eval(self, x):
-        """Horner evaluation; x may live in any ring accepting Fractions."""
-        result = None
-        for c in reversed(self.coeffs):
-            result = c if result is None else result * x + c
-        if result is None:
-            return Fraction(0)
-        return result
 
     # -- comparisons & rendering --------------------------------------
 

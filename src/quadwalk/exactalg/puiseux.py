@@ -1,273 +1,39 @@
-"""Truncated Puiseux/Laurent expansions at t = 0.
+"""Power-series expansion of a rational function at t = 0.
 
-A PuiseuxTrunc holds the terms of a series up to and including a stated
-truncation order: exponents live in (1/r)Z for the ramification index r,
-coefficients in a quadratic number field Q(sqrt(s)) (plain rationals
-when s = 1, which covers every expansion a caller meets unless the
-radicand's leading coefficient is not a rational square).
-
-Square roots are expanded by Newton iteration on X^2 - D starting from
-the exact leading term, doubling the usable precision each round.
+The closed forms of the solvable models carry a ratio in Q(t) that is
+regular at t = 0; expand_ratfunc turns it into the coefficient list the
+truncated-series arithmetic of TSeries starts from.  (The module name
+is historical; the benchmark tracer addresses expand_ratfunc by this
+path.)
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import RootSelectorInconsistent
-from .quadext import QuadExtElem
 from .ratfunc import RatFunc
-from .rationals import SqrtPair
 
 
-class PuiseuxTrunc:
-    """Exponents valuation + k/ram for k = 0..len(coeffs)-1; terms with
-    exponent > order are unknown and dropped by every operation."""
+def expand_ratfunc(f: RatFunc, order: int) -> list[Fraction]:
+    """Coefficients c_0..c_order of the power series of f at t = 0.
 
-    __slots__ = ("ram", "valuation", "coeffs", "order")
-
-    def __init__(self, ram, valuation, coeffs, order):
-        ram = int(ram)
-        coeffs = [c if isinstance(c, SqrtPair) else SqrtPair(c) for c in coeffs]
-        valuation = Fraction(valuation)
-        # strip leading zeros, keeping the exponent grid
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            valuation += Fraction(1, ram)
-        # drop terms beyond the stated order
-        keep = []
-        for k, c in enumerate(coeffs):
-            if valuation + Fraction(k, ram) > order:
-                break
-            keep.append(c)
-        self.ram = ram
-        self.valuation = valuation if keep else None
-        self.coeffs = keep
-        self.order = Fraction(order)
-
-    @classmethod
-    def zero(cls, order, ram=1):
-        return cls(ram, 0, [], order)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def leading_term(self):
-        if not self.coeffs:
-            return None
-        return self.valuation, self.coeffs[0]
-
-    def term_dict(self):
-        return {
-            self.valuation + Fraction(k, self.ram): c
-            for k, c in enumerate(self.coeffs)
-            if not c.is_zero()
-        }
-
-    def _with_ram(self, ram):
-        if ram == self.ram:
-            return self
-        if ram % self.ram:
-            raise ValueError("ramification indices are incompatible")
-        step = ram // self.ram
-        coeffs = []
-        for c in self.coeffs:
-            coeffs.append(c)
-            coeffs.extend([SqrtPair(0)] * (step - 1))
-        return PuiseuxTrunc(ram, self.valuation or 0, coeffs, self.order)
-
-    @staticmethod
-    def _lcm(a, b):
-        from math import gcd
-
-        return a * b // gcd(a, b)
-
-    def __add__(self, other):
-        if not isinstance(other, PuiseuxTrunc):
-            return NotImplemented
-        order = min(self.order, other.order)
-        ram = self._lcm(self.ram, other.ram)
-        a, b = self._with_ram(ram), other._with_ram(ram)
-        terms = {}
-        for src in (a, b):
-            for e, c in src.term_dict().items():
-                terms[e] = terms.get(e, SqrtPair(0)) + c
-        return _from_terms(terms, ram, order)
-
-    def __neg__(self):
-        return PuiseuxTrunc(self.ram, self.valuation or 0, [-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, PuiseuxTrunc):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return PuiseuxTrunc.zero(min(self.order, other.order), self.ram)
-        # truncation order of a product: each factor is exact up to its
-        # order, so errors enter at (order of one) + (valuation of other)
-        order = min(self.order + other.valuation, other.order + self.valuation)
-        ram = self._lcm(self.ram, other.ram)
-        a, b = self._with_ram(ram), other._with_ram(ram)
-        terms = {}
-        for e1, c1 in a.term_dict().items():
-            for e2, c2 in b.term_dict().items():
-                e = e1 + e2
-                if e <= order:
-                    terms[e] = terms.get(e, SqrtPair(0)) + c1 * c2
-        return _from_terms(terms, ram, order)
-
-    def matches(self, other, up_to=None) -> bool:
-        """Term-by-term agreement up to min of the stated orders."""
-        if not isinstance(other, PuiseuxTrunc):
-            return NotImplemented
-        bound = min(self.order, other.order)
-        if up_to is not None:
-            bound = min(bound, Fraction(up_to))
-        mine = {e: c for e, c in self.term_dict().items() if e <= bound}
-        theirs = {e: c for e, c in other.term_dict().items() if e <= bound}
-        return mine == theirs
-
-    def __repr__(self):
-        tail = f"O(t^{self.order + Fraction(1, self.ram)})"
-        if not self.coeffs:
-            return tail
-        parts = []
-        for e, c in sorted(self.term_dict().items()):
-            parts.append(f"({c})*t^{e}")
-        return " + ".join(parts) + " + " + tail
-
-
-def _from_terms(terms, ram, order):
-    live = {e: c for e, c in terms.items() if not c.is_zero() and e <= order}
-    if not live:
-        return PuiseuxTrunc.zero(order, ram)
-    val = min(live)
-    span = int((max(live) - val) * ram)
-    coeffs = [SqrtPair(0)] * (span + 1)
-    for e, c in live.items():
-        coeffs[int((e - val) * ram)] = c
-    return PuiseuxTrunc(ram, val, coeffs, order)
-
-
-def expand_ratfunc(f: RatFunc, order) -> PuiseuxTrunc:
-    """Laurent expansion of f at t = 0 through the given order."""
-    order = Fraction(order)
+    Raises ValueError when f has a pole at t = 0.
+    """
+    out = [Fraction(0)] * (order + 1)
     if f.is_zero():
-        return PuiseuxTrunc.zero(order)
+        return out
     vn = int(f.num.valuation())
     vd = int(f.den.valuation())
-    val = vn - vd
-    n_terms = int(order - val) + 1
-    if n_terms <= 0:
-        return PuiseuxTrunc.zero(order)
-    a = list(f.num.coeffs[vn:])
-    b = list(f.den.coeffs[vd:])
-    # series long division a(t)/b(t), both with nonzero constant term
+    if vn < vd:
+        raise ValueError(f"{f} has a pole at t = 0")
+    v = vn - vd
+    a = f.num.coeffs[vn:]
+    b = f.den.coeffs[vd:]
+    # series long division t^v a(t)/b(t), a and b with nonzero constant term
     inv_b0 = 1 / b[0]
-    out = []
-    for k in range(n_terms):
-        ak = a[k] if k < len(a) else Fraction(0)
-        acc = ak
+    for k in range(order + 1 - v):
+        acc = a[k] if k < len(a) else Fraction(0)
         for j in range(1, min(k, len(b) - 1) + 1):
-            acc -= b[j] * out[k - j]
-        out.append(acc * inv_b0)
-    return PuiseuxTrunc(1, val, out, order)
-
-
-def _sqrt_series(u: PuiseuxTrunc) -> PuiseuxTrunc:
-    """Square root of a series with constant term 1, by Newton steps."""
-    lead = u.leading_term()
-    assert lead is not None and lead[0] == 0 and lead[1] == SqrtPair(1)
-    y = PuiseuxTrunc(u.ram, 0, [SqrtPair(1)], u.order)
-    # X -> (X + u/X)/2 doubles the correct exponent range each step
-    known = Fraction(1, u.ram)
-    half = SqrtPair(Fraction(1, 2))
-    while known <= u.order:
-        y = _scale(y + _div(u, y), half)
-        known *= 2
-    return y
-
-
-def _scale(p: PuiseuxTrunc, c: SqrtPair) -> PuiseuxTrunc:
-    return PuiseuxTrunc(p.ram, p.valuation or 0, [c * x for x in p.coeffs], p.order)
-
-
-def _div(a: PuiseuxTrunc, b: PuiseuxTrunc) -> PuiseuxTrunc:
-    """a/b for b with nonzero leading term, to the order of a."""
-    lead = b.leading_term()
-    if lead is None:
-        raise ZeroDivisionError("series division by zero truncation")
-    e0, c0 = lead
-    ram = PuiseuxTrunc._lcm(a.ram, b.ram)
-    a = a._with_ram(ram)
-    b = b._with_ram(ram)
-    order = a.order
-    max_k = int((order - ((a.valuation or 0) - e0)) * ram)
-    if max_k < 0:
-        return PuiseuxTrunc.zero(order, ram)
-    bt = b.term_dict()
-    at = a.term_dict()
-    inv_c0 = c0.inverse()
-    out = {}
-    val = (a.valuation or 0) - e0
-    for k in range(max_k + 1):
-        e = val + Fraction(k, ram)
-        acc = at.get(e + e0, SqrtPair(0))
-        for eb, cb in bt.items():
-            if eb == e0:
-                continue
-            eo = e + e0 - eb
-            if val <= eo < e:
-                acc = acc - cb * out.get(eo, SqrtPair(0))
-        out[e] = acc * inv_c0
-    return _from_terms(out, ram, order)
-
-
-def puiseux_expand(e, order) -> PuiseuxTrunc:
-    """Truncated expansion of a RatFunc or QuadExtElem at t = 0.
-
-    For a quadratic element the selected root of the radicand is
-    expanded first (Newton iteration starting from the exact leading
-    term); the result is cross-checked against the element's stored
-    root selector.
-    """
-    order = Fraction(order)
-    if isinstance(e, RatFunc):
-        return expand_ratfunc(e, order)
-    if not isinstance(e, QuadExtElem):
-        raise TypeError(f"cannot expand {type(e).__name__}")
-    if e.q.is_zero():
-        return expand_ratfunc(e.p, order)
-    ctx = e.ctx
-    if ctx.D.is_zero():
-        raise ValueError("zero radicand")
-    # w = branch_lc * t^{v/2} * sqrt(D / (lc * t^v))
-    vD = ctx.D.valuation()
-    lcD = ctx.D.low_coeff()
-    # tail = D / (lc t^v) has constant term 1 and integer exponents
-    tail_order = max(order - e.q.valuation() - ctx.half_val + 1, Fraction(1))
-    tail = expand_ratfunc(ctx.D, tail_order + vD)
-    tail = _shift(tail, -vD)
-    tail = _scale(tail, SqrtPair(1 / lcD))
-    root = _sqrt_series(tail)
-    w_ser = _shift(_scale(root, ctx.branch_lc), ctx.half_val)
-    got = w_ser.leading_term()
-    if got is None or got[0] != ctx.half_val or got[1] != ctx.branch_lc:
-        raise RootSelectorInconsistent(
-            f"expansion of sqrt({ctx.D}) contradicts selected branch {ctx.branch_lc}"
-        )
-    q_ser = expand_ratfunc(e.q, order - ctx.half_val + 1)
-    p_ser = expand_ratfunc(e.p, order)
-    res = p_ser + q_ser * w_ser
-    return PuiseuxTrunc(res.ram, res.valuation or 0, res.coeffs, min(res.order, order))
-
-
-def _shift(p: PuiseuxTrunc, delta) -> PuiseuxTrunc:
-    from math import gcd
-
-    delta = Fraction(delta)
-    if delta.denominator != 1 and p.ram % delta.denominator:
-        p = p._with_ram(p.ram * delta.denominator // gcd(p.ram, delta.denominator))
-    return PuiseuxTrunc(p.ram, (p.valuation or 0) + delta, list(p.coeffs), p.order + delta)
+            acc -= b[j] * out[v + k - j]
+        out[v + k] = acc * inv_b0
+    return out

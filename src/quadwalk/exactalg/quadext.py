@@ -6,12 +6,13 @@ selected one is the root whose leading coefficient is rho*sqrt(s) with
 rho > 0 (s the squarefree part of the leading Laurent coefficient of D).
 Elements are p + q*w with p, q in Q(t) and w the selected root.
 
-Everything downstream relies on two exact decision procedures here:
+Everything downstream relies on two exact decision procedures here.
+Neither expands a series: the branch enters only through its leading
+coefficient branch_lc.
 
 * valuation: v(p + q*w) follows from min(v(p), v(q) + v(D)/2) except
   when the leading terms cancel, in which case the norm identity
-  v(u) + v(conj u) = v(p^2 - q^2 D) resolves it without any series
-  expansion;
+  v(u) + v(conj u) = v(p^2 - q^2 D) resolves it;
 
 * equality across different contexts: p1 + q1*w1 = p2 + q2*w2 iff the
   rational parts agree, q1^2 D1 = q2^2 D2, and the selected branches of
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import RootSelectorInconsistent
 from .poly import Poly
 from .ratfunc import RatFunc, ratfunc_is_square
 from .rationals import INF, SqrtPair
@@ -85,25 +85,6 @@ class QuadExtElem:
         self.ctx = ctx
         self.p = p
         self.q = q
-
-    # -- spec-facing field names ---------------------------------------
-
-    @property
-    def base(self):
-        return self.p
-
-    @property
-    def radical_coeff(self):
-        return self.q
-
-    @property
-    def radicand(self):
-        return self.ctx.D if self.ctx is not None else None
-
-    @property
-    def root_selector(self):
-        """Leading Puiseux term (exponent, coefficient) of this element."""
-        return self.leading_term()
 
     # -- helpers ---------------------------------------------------------
 
@@ -207,7 +188,7 @@ class QuadExtElem:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
 
-    # -- valuation and leading term ---------------------------------------
+    # -- valuation -------------------------------------------------------
 
     def valuation(self):
         """Exact t-adic valuation under the Puiseux embedding."""
@@ -226,31 +207,6 @@ class QuadExtElem:
             return mp
         # cancellation: the conjugate cannot cancel too, so use the norm
         return self.norm().valuation() - mp
-
-    def leading_term(self):
-        """(exponent, SqrtPair coefficient) of the leading Puiseux term.
-
-        Only when the top terms of p and q*w cancel does this need the
-        full expansion machinery; that case recurses through puiseux.
-        """
-        v = self.valuation()
-        if v == INF:
-            raise ValueError("leading term of zero element")
-        coeff = SqrtPair(0)
-        if not self.p.is_zero() and self.p.valuation() == v:
-            coeff = coeff + SqrtPair(self.p.low_coeff())
-        if not self.q.is_zero() and self.q.valuation() + self.ctx.half_val == v:
-            coeff = coeff + self.q.low_coeff() * self.ctx.branch_lc
-        if not coeff.is_zero():
-            return v, coeff
-        # deep cancellation: expand far enough to see the first term
-        from .puiseux import puiseux_expand
-
-        ser = puiseux_expand(self, v + 2)
-        lt = ser.leading_term()
-        if lt is None:
-            raise AssertionError("expansion inconsistent with valuation bound")
-        return lt
 
     # -- equality -----------------------------------------------------------
 
@@ -283,57 +239,7 @@ class QuadExtElem:
             return hash(self.p)
         raise TypeError("irrational QuadExtElem is unhashable")
 
-    def minimal_poly_coeffs(self):
-        """Monic minimal polynomial over Q(t) as a coefficient list."""
-        if self.q.is_zero():
-            return [-self.p, RatFunc.const(1, self.p.var)]
-        one = RatFunc.const(1, self.p.var)
-        return [self.norm(), -(self.p + self.p), one]
-
     def __repr__(self):
         if self.q.is_zero():
             return str(self.p)
         return f"({self.p}) + ({self.q})*w[{self.ctx.D}]"
-
-
-def t_valuation(f):
-    """Valuation at t = 0 of a RatFunc or QuadExtElem (INF for 0)."""
-    if isinstance(f, (RatFunc, QuadExtElem)):
-        return f.valuation()
-    if isinstance(f, Poly):
-        return f.valuation()
-    raise TypeError(f"no valuation for {type(f).__name__}")
-
-
-def sqrt_with_selector(D, expected_exponent=None, expected_coeff=None) -> QuadExtElem:
-    """Selected square root of D, optionally checked against a stored
-    leading term; a mismatch raises RootSelectorInconsistent.
-
-    A radicand that is already a square in Q(t) folds into a rational
-    element (radical coefficient zero), selected-branch-first.
-    """
-    D = D if isinstance(D, RatFunc) else RatFunc(D)
-    ok, w0 = ratfunc_is_square(D)
-    if ok:
-        if w0.low_coeff() < 0:
-            w0 = -w0
-        w = QuadExtElem(w0)
-        half_val, lead = w0.valuation(), SqrtPair(w0.low_coeff())
-    else:
-        ctx = QuadExt(D)
-        w = QuadExtElem.sqrt(ctx)
-        half_val, lead = ctx.half_val, ctx.branch_lc
-    if expected_exponent is not None and half_val != expected_exponent:
-        raise RootSelectorInconsistent(
-            f"expected exponent {expected_exponent}, root has {half_val}"
-        )
-    if expected_coeff is not None:
-        want = expected_coeff if isinstance(expected_coeff, SqrtPair) else SqrtPair(expected_coeff)
-        if lead != want:
-            if lead == -want:
-                # caller wants the other root
-                return -w
-            raise RootSelectorInconsistent(
-                f"stored leading coefficient {want} is not a root selector for {D}"
-            )
-    return w

@@ -57,9 +57,6 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_poly(self):
-        return self.den.degree == 0
-
     # -- field operations ----------------------------------------------
 
     def _coerce(self, other):
@@ -153,11 +150,6 @@ class RatFunc:
         if self.num.degree and self.num.degree > 0 and len(self.num.coeffs) > 1:
             num = f"({num})"
         return f"{num}/({self.den})"
-
-
-def ratfunc_normalize(n: Poly, d: Poly) -> RatFunc:
-    """Reduced representative of n/d with monic denominator."""
-    return RatFunc(n, d)
 
 
 def ratfunc_is_square(f: RatFunc):

@@ -1,19 +1,18 @@
 """Exact rational scalars and quadratic surds.
 
-Rat is the stdlib Fraction: it already keeps fractions reduced with a
-positive denominator, which is exactly the invariant we need.  On top of
-that this module provides parsing/formatting for the "p/q" wire format
-and SqrtPair, an element a + b*sqrt(s) of a real or imaginary quadratic
-number field (s a squarefree integer).  SqrtPair is what leading Puiseux
-coefficients of algebraic functions live in.
+Rationals are the stdlib Fraction: it already keeps fractions reduced
+with a positive denominator, which is exactly the invariant we need.  On
+top of that this module provides parsing/formatting for the "p/q" wire
+format and SqrtPair, an element a + b*sqrt(s) of a real or imaginary
+quadratic number field (s a squarefree integer).  SqrtPair is what the
+leading coefficient of a selected square root, and the leading terms
+compared against it, live in.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rat = Fraction
 
 INF = math.inf  # valuation of the zero element
 
@@ -99,9 +98,6 @@ class SqrtPair:
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
-    def is_rational(self):
-        return self.b == 0
-
     def _coerce(self, other):
         if isinstance(other, SqrtPair):
             return other
@@ -122,12 +118,6 @@ class SqrtPair:
     def __neg__(self):
         return SqrtPair(-self.a, -self.b, self.s)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if self.b != 0 and other.b != 0:
@@ -147,15 +137,6 @@ class SqrtPair:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        n = self.a * self.a - self.b * self.b * self.s
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero SqrtPair")
-        return SqrtPair(self.a / n, -self.b / n, self.s)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SqrtPair(other)
@@ -164,9 +145,6 @@ class SqrtPair:
         if self.b == 0 and other.b == 0:
             return self.a == other.a
         return self.a == other.a and self.b == other.b and self.s == other.s
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.s))
 
     def __repr__(self):
         if self.b == 0:

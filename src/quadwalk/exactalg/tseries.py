@@ -29,11 +29,6 @@ class TSeries:
     def const(cls, c, order, var="x"):
         return cls([Poly.const(c, var)], order, var)
 
-    @classmethod
-    def from_t_poly(cls, tpoly: Poly, order, var="x"):
-        """Lift a polynomial in t to a series with constant x-coefficients."""
-        return cls([Poly.const(c, var) for c in tpoly.coeffs], order, var)
-
     def __add__(self, other):
         order = min(self.order, other.order)
         return TSeries(

@@ -2,20 +2,14 @@
 
 XYPoly is a sparse map (i, j) -> Poly in t.  Negative exponents are
 allowed so the step Laurent polynomial and the gamma fractions fit
-directly; operations that need honest polynomials (reduction modulo the
-kernel, resultants) first clear monomial denominators.
-
-The resultant follows the Sylvester-matrix convention with the second
-argument's coefficient rows on top, evaluated by fraction-free Bareiss
-elimination; this is the sign convention the rest of the package and the
-tests pin down (res_y(y - x, y + x) = -2x).
+directly; reduction modulo the kernel, which needs honest polynomials,
+first clears monomial denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import BothConstantInVariable
 from .poly import Poly
 from .ratfunc import RatFunc, ratfunc_is_square
 
@@ -112,30 +106,6 @@ class XYPoly:
     def swap_xy(self):
         return XYPoly({(j, i): c for (i, j), c in self.terms.items()}, self.tvar)
 
-    def divexact(self, other):
-        """Exact division in Q[t][x, y], treated as polynomials in y.
-
-        Every leading-coefficient division an exact multiple requires is
-        itself exact, so plain long division works; raises if not.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError
-        if self.is_zero():
-            return self
-        dy = other.deg_y()
-        lead = other.y_coeff(dy)
-        quo = XYPoly.zero(self.tvar)
-        rem = self
-        while not rem.is_zero():
-            ry = rem.deg_y()
-            if ry is None or ry < dy:
-                raise ValueError("inexact bivariate division")
-            q_x = _xpoly_divexact(rem.y_coeff(ry), lead)
-            q_term = q_x.shift(0, ry - dy)
-            quo = quo + q_term
-            rem = rem - q_term * other
-        return quo
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -150,34 +120,6 @@ class XYPoly:
                 cs = f"({cs})"
             parts.append(f"{cs}*{m}" if m else cs)
         return " + ".join(parts)
-
-
-def _xpoly_divexact(a: XYPoly, b: XYPoly) -> XYPoly:
-    """Exact division of polynomials in x over Q[t] (y-free inputs)."""
-    if b.is_zero():
-        raise ZeroDivisionError
-    da = a.deg_x()
-    db = b.deg_x()
-    if da is None:
-        return a
-    quo = {}
-    rem = {i: c for (i, _), c in a.terms.items()}
-    b_map = {i: c for (i, _), c in b.terms.items()}
-    lead_b = b_map[db]
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            raise ValueError("inexact x-polynomial division")
-        q = rem[dr].divexact(lead_b)
-        quo[(dr - db, 0)] = q
-        for i, c in b_map.items():
-            k = dr - db + i
-            s = rem.get(k, Poly.zero(a.tvar)) - q * c
-            if s.is_zero():
-                rem.pop(k, None)
-            else:
-                rem[k] = s
-    return XYPoly(quo, a.tvar)
 
 
 def reduce_mod(p: XYPoly, k: XYPoly) -> XYPoly:
@@ -200,68 +142,6 @@ def reduce_mod(p: XYPoly, k: XYPoly) -> XYPoly:
         top = rem.y_coeff(ry)
         rem = lead * rem - top.shift(0, ry - dk) * k
     return rem
-
-
-def resultant(p: XYPoly, q: XYPoly, eliminate: str) -> XYPoly:
-    """Resultant eliminating x or y, by Bareiss on the Sylvester matrix.
-
-    Convention: rows of q's coefficients come first; this makes
-    res_y(y - x, y + x) = -2x and res_y(y^2 - x, y) = -x, which the
-    tests freeze.
-    """
-    if eliminate == "x":
-        return resultant(p.swap_xy(), q.swap_xy(), "y").swap_xy()
-    if eliminate != "y":
-        raise ValueError("eliminate must be 'x' or 'y'")
-    p, _, _ = p.cleared()
-    q, _, _ = q.cleared()
-    m = p.deg_y()
-    n = q.deg_y()
-    if p.is_zero() or q.is_zero():
-        raise BothConstantInVariable("resultant with a zero polynomial")
-    if m == 0 and n == 0:
-        raise BothConstantInVariable("neither argument involves y")
-    if m == 0:
-        return _xy_pow(p, n)
-    if n == 0:
-        return _xy_pow(q, m)
-    size = m + n
-    pc = [p.y_coeff(j) for j in range(m, -1, -1)]
-    qc = [q.y_coeff(j) for j in range(n, -1, -1)]
-    rows = []
-    for r in range(m):
-        rows.append([XYPoly.zero(p.tvar)] * r + qc + [XYPoly.zero(p.tvar)] * (m - 1 - r))
-    for r in range(n):
-        rows.append([XYPoly.zero(p.tvar)] * r + pc + [XYPoly.zero(p.tvar)] * (n - 1 - r))
-    return _bareiss_det(rows, size)
-
-
-def _xy_pow(p: XYPoly, n: int) -> XYPoly:
-    out = XYPoly.monomial(1, 0, 0, p.tvar)
-    for _ in range(n):
-        out = out * p
-    return out
-
-
-def _bareiss_det(a, n):
-    """Fraction-free determinant over the ring Q[t][x]."""
-    sign = 1
-    prev = XYPoly.monomial(1, 0, 0, a[0][0].tvar if n else "t")
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if swap is None:
-                return XYPoly.zero(prev.tvar)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.divexact(prev)
-            a[i][k] = XYPoly.zero(prev.tvar)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def xpoly_is_square(p: XYPoly):

@@ -16,12 +16,11 @@ contain (1,-1) and (-1,1):
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidSupport, ModelFormatError, NonPositiveWeight
-from .exactalg import Poly, Rat, RatFunc, XYPoly, rat_from_string, rat_to_string
+from .exactalg import Poly, XYPoly, rat_from_string, rat_to_string
 
 ALL_STEPS = ((1, -1), (-1, 1), (1, 0), (0, 1), (1, 1))
 
@@ -75,8 +74,7 @@ class Model:
         self.a, self.b = a, b
         self.A = 1 - 1 / a
         self.B = 1 - 1 / b
-        self.omega = (a + b - a * b) / (a * b)
-        assert self.omega == 1 - self.A - self.B
+        self.omega = 1 - self.A - self.B
         self.S = _step_laurent(weighting)
         self.K = _kernel(self.S)
 
@@ -167,17 +165,6 @@ def make_model(tag, d=None, a=1, b=1, **step_weights) -> Model:
     return build_model(ss, Weighting(d=weights, a=Fraction(a), b=Fraction(b)))
 
 
-GammaQuotient = namedtuple("GammaQuotient", ["num", "den"])
-
-
-def gamma_functions(model: Model):
-    """(gamma1, gamma2, gamma): the third is the exact quotient
-    gamma1/gamma2 carried as a numerator/denominator pair."""
-    g1 = model.gamma1_xy()
-    g2 = model.gamma2_xy()
-    return g1, g2, GammaQuotient(g1, g2)
-
-
 def functional_equation_coeffs(model: Model):
     """The four polynomial coefficient blocks of the kernel equation:
 
@@ -202,8 +189,9 @@ def model_from_json(text: str) -> Model:
     """Parse the model JSON schema.
 
     {"stepset": "S1".."S5", "weights": {"1,-1": "p/q", ...},
-     "a": "p/q", "b": "p/q"} -- rationals are "p/q" or integer strings;
-    unknown keys anywhere are rejected.
+     "a": "p/q", "b": "p/q"} -- rationals are "p/q" strings, integer
+    strings or JSON integers (not booleans or floats); unknown keys
+    anywhere are rejected.
     """
     try:
         obj = json.loads(text)
@@ -217,7 +205,7 @@ def model_from_json(text: str) -> Model:
     for key in ("stepset", "weights", "a", "b"):
         if key not in obj:
             raise ModelFormatError(f"missing key {key!r}")
-    if obj["stepset"] not in _SUPPORTS:
+    if not isinstance(obj["stepset"], str) or obj["stepset"] not in _SUPPORTS:
         raise ModelFormatError(f"unknown stepset {obj['stepset']!r}")
     weights = {}
     if not isinstance(obj["weights"], dict):
@@ -235,14 +223,16 @@ def model_from_json(text: str) -> Model:
 
 
 def _parse_rat(val, where) -> Fraction:
-    if isinstance(val, int):
+    # bool is an int subclass, so JSON true would otherwise parse as 1
+    if isinstance(val, int) and not isinstance(val, bool):
         return Fraction(val)
     if isinstance(val, str):
         try:
             return rat_from_string(val)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ModelFormatError(f"{where}: expected 'p/q' or an integer string, got {val!r}")
+    raise ModelFormatError(f"{where}: expected 'p/q', an integer string or an integer, "
+                           f"got {val!r}")
 
 
 def model_to_json(model: Model) -> str:
@@ -257,8 +247,3 @@ def model_to_json(model: Model) -> str:
         "b": rat_to_string(model.b),
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def t_ratfunc(c) -> RatFunc:
-    """Embed a rational constant into Q(t)."""
-    return RatFunc.const(Rat(c))

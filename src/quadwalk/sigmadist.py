@@ -37,7 +37,7 @@ from .errors import (
     RegimeNotApplicable,
     TableCellMismatch,
 )
-from .exactalg import INF, t_valuation
+from .exactalg import INF
 from .model import Model
 
 MAX_WINDOW = 12
@@ -66,7 +66,7 @@ def bivaluation(pt: CurvePoint) -> Bivaluation:
     infinity (a real curve point when d11 = 0); Omega itself is not
     representable in this chart, so no separate guard is needed.
     """
-    return Bivaluation(t_valuation(pt.x1), t_valuation(pt.y1))
+    return Bivaluation(pt.x1.valuation(), pt.y1.valuation())
 
 
 def step_valuation_forward(v: Bivaluation) -> Bivaluation:
@@ -140,21 +140,20 @@ class OrbitProfile:
         return sorted(cands)
 
 
-def orbit_profile(model: Model, pt: CurvePoint, window: int = 5) -> OrbitProfile:
+def orbit_profile(model: Model, pt: CurvePoint) -> OrbitProfile:
     """Explicit orbit points out to the certified valuation tails.
 
     The forward tail needs some index with bivaluation i < j < 0, the
     backward tail j < i < 0; once a side is certified there is no need
     to compute further explicit points in that direction, because the
     valuation dynamics determine (and the tail solver inverts) every
-    later bivaluation.  The search extends past the requested window up
-    to MAX_WINDOW before giving up, which the theory rules out for
-    critical points (certification within two steps, three in the
-    boundary-weight-free cases).
+    later bivaluation.  The search gives up after MAX_WINDOW steps in
+    each direction, which the theory rules out for critical points
+    (certification within two steps, three in the boundary-weight-free
+    cases).
     """
     if not on_curve(model, pt):
         raise OffCurveInput("orbit base point is not on the curve")
-    cap = max(window, MAX_WINDOW)
     points = {0: pt}
     vals = {0: bivaluation(pt)}
 
@@ -166,7 +165,7 @@ def orbit_profile(model: Model, pt: CurvePoint, window: int = 5) -> OrbitProfile
 
     fwd = 0 if certified_fwd(vals[0]) else None
     bwd = 0 if certified_bwd(vals[0]) else None
-    for n in range(1, cap + 1):
+    for n in range(1, MAX_WINDOW + 1):
         if fwd is None:
             points[n] = apply_sigma(model, points[n - 1], check=False)
             vals[n] = bivaluation(points[n])
@@ -182,15 +181,15 @@ def orbit_profile(model: Model, pt: CurvePoint, window: int = 5) -> OrbitProfile
                 base=pt, window=max(fwd, -bwd), points=points,
                 valuations=vals, fwd_start=fwd, bwd_start=bwd,
             )
-    raise OrbitRegimeNotReached(cap)
+    raise OrbitRegimeNotReached(MAX_WINDOW)
 
 
 def sigma_distance(model: Model, p_minus: CurvePoint, p_plus: CurvePoint,
-                   profile: OrbitProfile | None = None, window: int = 5):
+                   profile: OrbitProfile | None = None):
     """delta(p_minus, p_plus): the integer n with sigma^n p_minus =
     p_plus, or None (bottom) when no integer works."""
     if profile is None or profile.base is not p_minus:
-        profile = orbit_profile(model, p_minus, window)
+        profile = orbit_profile(model, p_minus)
     target = bivaluation(p_plus)
     for n in profile.tail_candidates(target):
         if profile.point(model, n) == p_plus:
@@ -246,8 +245,7 @@ _M2_ROWS = ["s P1", "s P2", "i2 P3", "i2 P4"]
 _M2_COLS = ["i1 P1", "i1 P2", "P3", "P4"]
 
 
-def build_matrices(model: Model, sets: CriticalSets | None = None,
-                   window: int = 5, spot_check: bool = True):
+def build_matrices(model: Model, sets: CriticalSets | None = None):
     """(M1, M2), computing the 10 independent entries of M1 and filling
     the rest by symmetry; M2 follows from M1 by the shift identity
     M2 = M1 + diag-block(-J2, J2) and is spot-verified directly."""
@@ -258,7 +256,7 @@ def build_matrices(model: Model, sets: CriticalSets | None = None,
     def dist(p, q):
         key = id(p)
         if key not in profiles or profiles[key].base is not p:
-            profiles[key] = orbit_profile(model, p, window)
+            profiles[key] = orbit_profile(model, p)
         return sigma_distance(model, p, q, profiles[key])
 
     m1 = [[BOT] * 4 for _ in range(4)]
@@ -275,12 +273,11 @@ def build_matrices(model: Model, sets: CriticalSets | None = None,
     ]
     M2 = DistanceMatrix("M2", m2, _M2_ROWS, _M2_COLS)
 
-    if spot_check:
-        # entries touching every block of the shift identity
-        for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
-            direct = dist(sets.L2_minus[i], sets.L2_plus[j])
-            if direct != m2[i][j]:
-                raise TableCellMismatch(
-                    f"M2[{i}][{j}] direct value {direct} != shifted {m2[i][j]}"
-                )
+    # entries touching every block of the shift identity
+    for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
+        direct = dist(sets.L2_minus[i], sets.L2_plus[j])
+        if direct != m2[i][j]:
+            raise TableCellMismatch(
+                f"M2[{i}][{j}] direct value {direct} != shifted {m2[i][j]}"
+            )
     return M1, M2

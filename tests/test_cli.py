@@ -117,12 +117,56 @@ def test_phase_scan_csv(s3_file, capsys):
 def test_contract_violation_exit_code(s3_file, monkeypatch, capsys):
     from quadwalk import cli as cli_mod
 
-    def broken(model, window=5):
+    def broken(model):
         raise CoverageGap("forced for the exit-code contract")
 
     monkeypatch.setattr(cli_mod.classifier, "classify", broken)
     assert main(["classify", "--model", s3_file]) == EXIT_CONTRACT
     assert "verification failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--window", "5"],
+    ["classify", "--order", "3"],
+    ["classify", "--seed", "5"],
+    ["phase-scan", "--a-values", "1/0"],
+    ["phase-scan", "--b-values", "1,x"],
+])
+def test_usage_error_exit_code(s3_file, argv, capsys):
+    # flags a subcommand does not read and bad flag values are usage
+    # errors: exit 1, not the contract-failure code 2 argparse would use
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--model", s3_file, *argv[1:]])
+    assert exc.value.code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == EXIT_OK
+
+
+def test_orbit_cap_exceeded_is_contract_violation(s3_file, monkeypatch, capsys):
+    # an orbit that never reaches the certified regime cannot happen for
+    # a valid model, so it is a broken contract (exit 2), not bad input
+    from quadwalk import sigmadist
+
+    monkeypatch.setattr(sigmadist, "MAX_WINDOW", 0)
+    assert main(["matrix", "--model", s3_file]) == EXIT_CONTRACT
+    assert "verification failure" in capsys.readouterr().err
+
+
+def test_runs_without_sympy():
+    # sympy is a test dependency only: the package must not import it
+    src = Path(__file__).resolve().parents[1] / "src"
+    model = Path(__file__).resolve().parents[1] / "models" / "s3-algebraic.json"
+    code = ("import sys; sys.modules['sympy'] = None; import quadwalk.cli; "
+            "sys.exit(quadwalk.cli.main(['classify', '--model', sys.argv[1]]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(model)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "Algebraic"
 
 
 # Runs `python -m quadwalk.cli matrix` with P3 and P4 swapped in the L2+

@@ -1,10 +1,10 @@
 """Kernel curve: involutions, critical points against published closed
 forms, divisors of the gamma functions."""
 
-import json
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from quadwalk.curve import (
     CurvePoint,
@@ -29,9 +29,9 @@ from quadwalk.exactalg import (
     QuadExtElem,
     RatFunc,
     XYPoly,
-    t_valuation,
 )
 from quadwalk.model import make_model
+from tests import symbolic
 from tests.conftest import SUPPORTS, random_model
 
 T = Poly.gen("t")
@@ -65,7 +65,7 @@ def test_critical_points_a_zero():
     # A = 0: the zeros of gamma1 sit at y = infinity; v(P2) = (0, oo)
     m = make_model("S1", a=1, b=2)
     p1, p2, _, _ = critical_points(m)
-    assert t_valuation(p2.x1) == 0 and t_valuation(p2.y1) == INF
+    assert p2.x1.valuation() == 0 and p2.y1.valuation() == INF
     assert p1.x1.is_zero() and p1.y1.is_zero()  # the (oo, oo) point
 
 
@@ -249,37 +249,47 @@ def test_point_equality_across_extensions():
 
 
 def test_coordinate_expansion_satisfies_minimal_polynomial():
-    # the Puiseux expansion of an irrational critical coordinate must
-    # kill its own minimal polynomial up to the truncation order
-    from quadwalk.exactalg import expand_ratfunc, puiseux_expand
-
+    # the sympy images p + q*sqrt(D) of the critical coordinates satisfy
+    # the kernel and the gamma equations exactly, and the expansion of an
+    # irrational coordinate kills its minimal polynomial z^2 - 2p z + N,
+    # N = norm()
     m = make_model("S3", a=F(3, 2), b=F(5, 2))
-    p1, _, _, _ = critical_points(m)
-    coord = p1.x1
+    t = symbolic.t
+    d = {k: symbolic.rational(m.d(*k)) for k in ((1, -1), (-1, 1), (1, 0), (0, 1), (1, 1))}
+    A, B = symbolic.rational(m.A), symbolic.rational(m.B)
+    pts = critical_points(m)
+    for k, p in enumerate(pts):
+        x1, y1 = symbolic.elem(p.x1), symbolic.elem(p.y1)
+        kernel = x1 * y1 - t * (d[1, -1] * y1**2 + d[-1, 1] * x1**2 + d[1, 0] * y1
+                                + d[0, 1] * x1 + d[1, 1])
+        gamma = A * x1 - t * d[1, -1] * y1 if k < 2 else B * y1 - t * d[-1, 1] * x1
+        for expr in (kernel, gamma):
+            assert sympy.cancel(sympy.radsimp(expr)) == 0
+    coord = pts[0].x1
     assert not coord.is_rational()
-    c0, c1, _ = coord.minimal_poly_coeffs()
-    ser = puiseux_expand(coord, 6)
-    acc = ser * ser + expand_ratfunc(c1, 6) * ser + expand_ratfunc(c0, 6)
-    assert acc.matches(expand_ratfunc(RatFunc.const(0), 5), up_to=4)
+    x = symbolic.elem(coord)
+    trace, norm = symbolic.ratfunc(coord.p * 2), symbolic.ratfunc(coord.norm())
+    assert symbolic.series_terms(x * x - trace * x + norm, 6) == {}
 
 
 def test_ramified_discriminant_coordinates():
     # a < 1 can kill the t^2 coefficient of the discriminant, leaving
     # odd valuation: coordinates ramify (half-integer exponents) with
     # leading surd coefficients, and everything stays exact
-    from quadwalk.exactalg import expand_ratfunc, puiseux_expand
-
     m = make_model("S5", a=F(1, 2), b=3, d10=4, d11=2)
     p1, p2, _, _ = critical_points(m)
     assert p1.x1.ctx is not None and p1.x1.ctx.half_val == F(3, 2)
     assert p1 != p2  # conjugates differ from the t^(3/2) term on
-    ser = puiseux_expand(p1.x1, 3)
-    terms = ser.term_dict()
-    assert terms[F(1)].is_rational()
-    assert not terms[F(3, 2)].is_rational() and terms[F(3, 2)].s == -2
-    c0, c1, _ = p1.x1.minimal_poly_coeffs()
-    acc = ser * ser + expand_ratfunc(c1, 3) * ser + expand_ratfunc(c0, 3)
-    assert acc.matches(expand_ratfunc(RatFunc.const(0), 2), up_to=2)
+    terms = symbolic.series_terms(symbolic.elem(p1.x1), 3)
+    assert set(terms) == {1, sympy.Rational(3, 2), 2, sympy.Rational(5, 2)}
+    assert terms[1].is_rational and terms[2].is_rational
+    # the t^(3/2) coefficient lies in Q*i*sqrt(2) and is the one the
+    # selected branch predicts
+    branch = p1.x1.q.low_coeff() * p1.x1.ctx.branch_lc
+    assert branch.a == 0 and branch.s == -2
+    assert sympy.simplify(terms[sympy.Rational(3, 2)] - symbolic.surd(branch)) == 0
+    conj = symbolic.series_terms(symbolic.elem(p2.x1), 3)
+    assert conj == {e: (c if e.is_integer else -c) for e, c in terms.items()}
 
 
 def test_merged_critical_points():
@@ -295,10 +305,3 @@ def test_merged_critical_points():
     p1, p2, p3, p4 = critical_points(m)
     assert p3 == p4 and p3.x1.is_zero() and p3.y1.is_zero()
     assert p3 == p1
-
-
-def test_debug_json(s3_unit):
-    p1, _, _, _ = critical_points(s3_unit)
-    doc = json.loads(p1.to_debug_json())
-    assert set(doc) == {"x1", "y1"}
-    assert "min_poly" in doc["x1"] and "leading_term" in doc["x1"]

@@ -1,30 +1,29 @@
 """Foundation layer: polynomials, rational functions, quadratic
-extensions, Puiseux truncations, resultants, square tests."""
+extensions, series expansion, square tests."""
 
 import math
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadwalk.errors import BothConstantInVariable, ZeroDenominator
+from quadwalk.curve import critical_points
+from quadwalk.errors import ZeroDenominator
 from quadwalk.exactalg import (
     INF,
     Poly,
-    PuiseuxTrunc,
     QuadExt,
     QuadExtElem,
     RatFunc,
     SqrtPair,
     XYPoly,
-    is_square,
+    expand_ratfunc,
     poly_is_square,
-    puiseux_expand,
-    ratfunc_normalize,
-    resultant,
-    sqrt_with_selector,
-    t_valuation,
+    xpoly_is_square,
 )
+from quadwalk.model import make_model
+from tests import symbolic
 
 T = Poly.gen("t")
 
@@ -67,11 +66,11 @@ def test_poly_gcd_divides_both(a, b, g):
     if h.is_zero():
         assert (a * g).is_zero() and (b * g).is_zero()
         return
-    assert ((a * g) % h).is_zero()
-    assert ((b * g) % h).is_zero()
+    assert (a * g).divmod(h)[1].is_zero()
+    assert (b * g).divmod(h)[1].is_zero()
     # the common factor g divides the gcd
     if not (a * g).is_zero() and not (b * g).is_zero():
-        assert (h % g.monic()).is_zero()
+        assert h.divmod(g.monic())[1].is_zero()
 
 
 # -- is_square ----------------------------------------------------------
@@ -106,69 +105,18 @@ def test_is_square_xpoly_degree_one():
     p = XYPoly(
         {(0, 0): Poly([F(1, 4), 0, -2]), (1, 0): -(T * T).scale(3)}
     )
-    assert is_square(p)[0] is False
-
-
-# -- resultant ----------------------------------------------------------
-
-
-def test_resultant_convention():
-    x = XYPoly.monomial(1, 1, 0)
-    y = XYPoly.monomial(1, 0, 1)
-    assert resultant(y - x, y + x, "y") == XYPoly.monomial(-2, 1, 0)
-    # frozen from the hand-expanded 3x3 Sylvester determinant
-    assert resultant(y * y - x, y, "y") == XYPoly.monomial(-1, 1, 0)
-
-
-def test_resultant_shared_roots_vanishes():
-    x = XYPoly.monomial(1, 1, 0)
-    y = XYPoly.monomial(1, 0, 1)
-    p = y * y - x * y + XYPoly.monomial(2, 0, 0)
-    assert resultant(p, p, "y").is_zero()
-
-
-def test_resultant_errors():
-    x = XYPoly.monomial(1, 1, 0)
-    with pytest.raises(BothConstantInVariable):
-        resultant(x, x + XYPoly.monomial(1, 0, 0), "y")
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(small_fracs, min_size=2, max_size=3),
-       st.lists(small_fracs, min_size=2, max_size=3),
-       st.lists(small_fracs, min_size=1, max_size=2))
-def test_resultant_vanishes_iff_common_factor(ac, bc, gc):
-    # build univariate-in-y polynomials with rational coefficients
-    def ypoly(cs):
-        return XYPoly({(0, k): Poly.const(c) for k, c in enumerate(cs)})
-
-    a, b, g = ypoly(ac), ypoly(bc), ypoly(gc + [F(1)])
-    if a.deg_y() in (None, 0) or b.deg_y() in (None, 0):
-        return
-    res_plain = resultant(a, b, "y")
-
-    # brute-force oracle: gcd over Q[y] decides common roots
-    def to_poly(p):
-        n = p.deg_y()
-        return Poly([p.y_coeff(k).terms.get((0, 0), Poly.zero()).coeffs[0]
-                     if (0, 0) in p.y_coeff(k).terms else F(0)
-                     for k in range(n + 1)], "y")
-
-    gcd = to_poly(a).gcd(to_poly(b))
-    assert res_plain.is_zero() == (gcd.degree is not None and gcd.degree > 0)
-    # and multiplying in a shared factor always kills the resultant
-    assert resultant(a * g, b * g, "y").is_zero()
+    assert xpoly_is_square(p) is False
 
 
 # -- RatFunc ------------------------------------------------------------
 
 
 def test_ratfunc_normalize_examples():
-    f = ratfunc_normalize(T**2 + T, T)
+    f = RatFunc(T**2 + T, T)
     assert f.num == T + 1 and f.den == Poly([1])
-    z = ratfunc_normalize(Poly.zero(), Poly([1, 1]))
+    z = RatFunc(Poly.zero(), Poly([1, 1]))
     assert z.num.is_zero() and z.den == Poly([1])
-    g = ratfunc_normalize(T.scale(2), Poly([4]))
+    g = RatFunc(T.scale(2), Poly([4]))
     assert g.num == T.scale(F(1, 2)) and g.den == Poly([1])
 
 
@@ -178,12 +126,12 @@ def test_ratfunc_zero_denominator():
 
 
 def test_t_valuation_examples():
-    assert t_valuation(rf([0, 0, 1, 1])) == 2
-    assert t_valuation(RatFunc.const(0)) == INF
+    assert rf([0, 0, 1, 1]).valuation() == 2
+    assert RatFunc.const(0).valuation() == INF
     # x1 coordinate of the S1 critical point: valuation 2
     num = -(T * T)
     den = (T * T) + Poly.const(F(-4, 25))  # d's = 1, A = 4/5: A^2 - A = -4/25
-    assert t_valuation(RatFunc(num, den)) == 2
+    assert RatFunc(num, den).valuation() == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,55 +140,54 @@ def test_valuation_is_additive(an, ad, bn, bd):
     if an.is_zero() or bn.is_zero() or ad.is_zero() or bd.is_zero():
         return
     f, g = RatFunc(an, ad), RatFunc(bn, bd)
-    assert t_valuation(f * g) == t_valuation(f) + t_valuation(g)
+    assert (f * g).valuation() == f.valuation() + g.valuation()
     s = f + g
-    vf, vg = t_valuation(f), t_valuation(g)
+    vf, vg = f.valuation(), g.valuation()
     if vf != vg:
-        assert t_valuation(s) == min(vf, vg)
+        assert s.valuation() == min(vf, vg)
     else:
-        assert s.is_zero() or t_valuation(s) >= vf
+        assert s.is_zero() or s.valuation() >= vf
 
 
-# -- quadratic extensions and Puiseux -----------------------------------
+# -- series expansion and quadratic extensions ----------------------------
 
 
 def test_puiseux_binomial():
-    w = sqrt_with_selector(RatFunc(Poly([1, 1])))
-    ser = puiseux_expand(w, 2)
-    assert ser.term_dict() == {F(0): SqrtPair(1), F(1): SqrtPair(F(1, 2)),
-                               F(2): SqrtPair(F(-1, 8))}
+    # the selected root of 1 + t is 1 + t/2 - t^2/8 + ...
+    w = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([1, 1]))))
+    assert w.ctx.half_val == 0 and w.ctx.branch_lc == SqrtPair(1)
+    assert symbolic.series_terms(symbolic.elem(w), 3) == {
+        0: 1, 1: sympy.Rational(1, 2), 2: sympy.Rational(-1, 8)}
+    assert (w - QuadExtElem(RatFunc(Poly([1, F(1, 2)])))).valuation() == 2
 
 
 def test_puiseux_geometric():
-    e = QuadExtElem(RatFunc(T, Poly([1, -1])))
-    ser = puiseux_expand(e, 3)
-    assert ser.term_dict() == {F(1): SqrtPair(1), F(2): SqrtPair(1), F(3): SqrtPair(1)}
+    assert expand_ratfunc(RatFunc(T, Poly([1, -1])), 3) == [0, 1, 1, 1]
+    with pytest.raises(ValueError):
+        expand_ratfunc(RatFunc(Poly.const(1), T), 3)
 
 
 def test_puiseux_sqrt_against_square_oracle():
-    # sqrt(t^2 (1 - 4 t^2)) with leading term +t: square it back
+    # sqrt(t^2 (1 - 4 t^2)) with leading term +t: sympy's principal root
+    # expands as t - 2 t^3 - 2 t^5 - ...
     D = RatFunc(Poly([0, 0, 1, 0, -4]))
-    w = sqrt_with_selector(D)
+    w = QuadExtElem.sqrt(QuadExt(D))
     assert w.ctx.half_val == 1 and w.ctx.branch_lc == SqrtPair(1)
-    ser = puiseux_expand(w, 5)
-    sq = ser * ser
-    assert sq.matches(puiseux_expand(RatFunc(Poly([0, 0, 1, 0, -4])), 6))
-    lead = ser.term_dict()
-    assert lead[F(1)] == SqrtPair(1) and lead[F(3)] == SqrtPair(-2)
+    terms = symbolic.series_terms(symbolic.elem(w), 6)
+    assert terms == {1: 1, 3: -2, 5: -2}
+    assert w.valuation() == 1 and (w - QuadExtElem(RatFunc(T))).valuation() == 3
 
 
 @settings(max_examples=25, deadline=None)
 @given(polys(2), polys(2))
 def test_puiseux_respects_products(pn, qn):
-    D = RatFunc(Poly([1, 1]))
-    ctx = QuadExt(D)
-    if pn.is_zero() or qn.is_zero():
-        return
+    # the map p + q*w -> p + q*sqrt(1 + t) is a ring homomorphism
+    ctx = QuadExt(RatFunc(Poly([1, 1])))
     u = QuadExtElem(RatFunc(pn), RatFunc.const(1), ctx)
-    v = QuadExtElem(RatFunc(qn), RatFunc.const(2), ctx)
-    pu = puiseux_expand(u, 4)
-    pv = puiseux_expand(v, 4)
-    assert (pu * pv).matches(puiseux_expand(u * v, 8), up_to=4)
+    v = QuadExtElem(RatFunc(qn, Poly([1, -1])), RatFunc.const(2), ctx)
+    img = symbolic.elem
+    for got, want in ((u * v, img(u) * img(v)), (u / v, img(u) / img(v))):
+        assert sympy.cancel(sympy.radsimp(img(got) - want)) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -264,41 +211,79 @@ def test_quadext_valuation_with_cancellation():
     w = QuadExtElem.sqrt(ctx)
     u = QuadExtElem(RatFunc.const(-1)) + w  # = t/2 - t^2/8 + ...
     assert u.valuation() == 1
-    assert u.leading_term() == (F(1), SqrtPair(F(1, 2)))
+    # leading term t/2: subtracting it leaves -t^2/8 + ...
+    assert (u - QuadExtElem(RatFunc(T.scale(F(1, 2))))).valuation() == 2
+
+
+def _sympy_valuation_check(e):
+    """valuation() is the exponent of the first nonzero term of sympy's
+    series of p + q*sqrt(D); without cancellation the leading
+    coefficient is the one the selected branch predicts."""
+    v = e.valuation()
+    terms = symbolic.series_terms(symbolic.elem(e), math.floor(v) + 2)
+    assert min(terms) == v, (e, terms)
+    lead = SqrtPair(0)
+    if not e.p.is_zero() and e.p.valuation() == v:
+        lead = lead + SqrtPair(e.p.low_coeff())
+    if not e.q.is_zero() and e.q.valuation() + e.ctx.half_val == v:
+        lead = lead + e.q.low_coeff() * e.ctx.branch_lc
+    if not lead.is_zero():
+        assert sympy.simplify(terms[v] - symbolic.surd(lead)) == 0, (e, terms)
+
+
+def test_valuation_matches_sympy_series():
+    # critical coordinates, unramified (S3) and ramified (S5; its t^(3/2)
+    # branch term is pinned in test_ramified_discriminant_coordinates)
+    coords = []
+    for m in (make_model("S3", a=F(3, 2), b=F(5, 2)),
+              make_model("S5", a=F(1, 2), b=3, d10=4, d11=2)):
+        coords += [c for p in critical_points(m) for c in (p.x1, p.y1)]
+    w = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([1, 1]))))
+    cancelling = QuadExtElem(RatFunc.const(-1)) + w  # -1 + sqrt(1 + t)
+    for e in coords + [cancelling]:
+        _sympy_valuation_check(e)
+    assert cancelling.valuation() == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(polys(2), polys(2), polys(2), st.booleans())
+def test_valuation_matches_sympy_series_random(qn, rn, dn, deep):
+    # p = -q + t r makes the leading terms of p and q*sqrt(1 + t) cancel;
+    # with r = -q/2 + t r' the next terms cancel as well
+    ctx = QuadExt(RatFunc(Poly([1, 1])))
+    q = qn if not qn.is_zero() else Poly([1])
+    r = q.scale(F(-1, 2)) + rn.shift(1) if deep else rn
+    den = Poly([1]) + dn.shift(1)
+    e = QuadExtElem(RatFunc(-q + r.shift(1), den), RatFunc(q, den), ctx)
+    _sympy_valuation_check(e)
 
 
 def test_quadext_equality_across_radicands():
     # sqrt(4(1+t)) over one context equals 2*sqrt(1+t) over another
-    w1 = sqrt_with_selector(RatFunc(Poly([4, 4])))
-    w2 = sqrt_with_selector(RatFunc(Poly([1, 1])))
+    w1 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([4, 4]))))
+    w2 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([1, 1]))))
     assert w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(2), w2.ctx))
     assert not w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(-2), w2.ctx))
     assert not w1.equals(w2)
 
 
 def test_root_selector_consistency():
-    from quadwalk.errors import RootSelectorInconsistent
-
-    D = RatFunc(Poly([0, 0, 9]))  # 9 t^2: square radicand folds to 3t
-    w = sqrt_with_selector(D, expected_exponent=F(1), expected_coeff=SqrtPair(3))
-    assert w.is_rational() and w.p == RatFunc(T.scale(3))
-    flipped = sqrt_with_selector(D, expected_coeff=SqrtPair(-3))
-    assert flipped.p == RatFunc(T.scale(-3))
-    with pytest.raises(RootSelectorInconsistent):
-        sqrt_with_selector(D, expected_coeff=SqrtPair(5))
-    # genuine extension: selector check against the stored branch
-    D2 = RatFunc(Poly([0, 0, 2]))
-    w2 = sqrt_with_selector(D2, expected_exponent=F(1),
-                            expected_coeff=SqrtPair(0, 1, 2))
-    assert not w2.is_rational()
-    with pytest.raises(RootSelectorInconsistent):
-        sqrt_with_selector(D2, expected_exponent=F(2))
+    # a square radicand has no extension: its roots are rational
+    with pytest.raises(ValueError):
+        QuadExt(RatFunc(Poly([0, 0, 9])))
+    # the selected branch has leading coefficient rho*sqrt(s), rho > 0
+    for lc, branch in ((2, SqrtPair(0, 1, 2)), (-2, SqrtPair(0, 1, -2)),
+                       (F(-9, 2), SqrtPair(0, F(3, 2), -2))):
+        ctx = QuadExt(RatFunc(Poly([0, 0, lc])))
+        assert ctx.half_val == 1 and ctx.branch_lc == branch
+        w = QuadExtElem.sqrt(ctx)
+        assert symbolic.series_terms(symbolic.elem(w), 2) == {1: symbolic.surd(branch)}
+        assert not w.is_rational() and w != -w
 
 
 def test_sqrtpair_field_ops():
     a = SqrtPair(F(1, 2), F(3), 5)
     b = SqrtPair(F(2), F(-1), 5)
     assert a * b == SqrtPair(F(1) - 15, F(11, 2), 5)
-    assert (a * a.inverse()) == SqrtPair(1)
     assert SqrtPair(0, 2, 3) * SqrtPair(0, 1, 3) == SqrtPair(6)
     assert SqrtPair(0, 1, 6) * SqrtPair(0, 1, 10) == SqrtPair(0, 2, 15)

@@ -11,7 +11,6 @@ from quadwalk.model import (
     Weighting,
     build_model,
     functional_equation_coeffs,
-    gamma_functions,
     make_model,
     model_from_json,
     model_to_json,
@@ -66,13 +65,11 @@ def test_model_validation():
 
 
 def test_gamma_functions():
-    g1, g2, (gn, gd) = gamma_functions(make_model("S1", a=1, b=2))
     # A = 0 collapses gamma1 to -t d1m1 / y
-    assert g1 == XYPoly({(0, -1): -T})
-    g1, g2, _ = gamma_functions(make_model("S1", a=2, b=1))
+    assert make_model("S1", a=1, b=2).gamma1_xy() == XYPoly({(0, -1): -T})
     # B = 0 collapses gamma2 to -t dm11 / x
-    assert g2 == XYPoly({(-1, 0): -T})
-    g1, _, _ = gamma_functions(make_model("S3", a=2, b=2))
+    assert make_model("S1", a=2, b=1).gamma2_xy() == XYPoly({(-1, 0): -T})
+    g1 = make_model("S3", a=2, b=2).gamma1_xy()
     assert g1 == XYPoly({(-1, 0): Poly.const(F(1, 2)), (0, -1): -T})
 
 
@@ -118,6 +115,8 @@ def test_json_round_trip():
         '{"stepset": "S1", "weights": {"1,-1": "1.5"}, "a": "1", "b": "1"}',
         '{"stepset": "S1", "weights": {"1,-1": "1", "-1,1": "1", "0,1": "1"}, "a": "0", "b": "1"}',
         'not json at all',
+        '{"stepset": "S1", "weights": {"1,-1": true, "-1,1": "1", "0,1": "1"}, "a": "1", "b": "1"}',
+        '{"stepset": ["S1"], "weights": {}, "a": "1", "b": "1"}',
     ],
 )
 def test_json_rejects_malformed(bad):
