@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .curve import CriticalSets, critical_sets, curve_zeros
 from .enumerator import axis_series_to_poly, enumerate_walks, specialize
@@ -390,10 +391,88 @@ class ClosedForm:
         return f"1/sqrt(1 - {self.var}^2*{r})"
 
     def expand(self, order: int) -> TSeries:
-        power = 1 if self.kind == "geometric" else 2
-        coeffs = [Poly.monomial(-c, power, self.var) for c in expand_ratfunc(self.ratio, order)]
-        body = TSeries.const(1, order, self.var) + TSeries(coeffs, order, self.var)
-        return body.inverse() if self.kind == "geometric" else body.inv_sqrt()
+        """The series of the form in t mod t^(order+1), by a recurrence.
+
+        With ratio = Nm/Dn, H = Dn - var^p Nm and alpha = -1/q, where
+        p = q = 1 (geometric) or p = q = 2 (inverse-sqrt), the form is
+        y = (H/Dn)^alpha, so
+
+            Dn H y' = alpha (H' Dn - H Dn') y.
+
+        Write P = Dn H and R = H' Dn - H Dn', polynomials in t whose
+        coefficients are polynomials in var.  The coefficient of t^k is
+
+            q (k+1) P_0 y_(k+1) = -sum_j R_j y_(k-j) - q sum_(j>=1) (k+1-j) P_j y_(k+1-j),
+
+        where P_0 = Dn(0)^2 is a nonzero constant, so each coefficient
+        takes at most deg(P) + deg(R) + 1 products.  Nm and Dn are
+        cleared to integers and y_k is kept as integers over
+        E_k = prod_(i<=k) q i P_0; the Fractions are built once, at the
+        end.  Raises ValueError when ratio has a pole at t = 0 or
+        ratio(0) != 0.
+        """
+        geometric = self.kind == "geometric"
+        if expand_ratfunc(self.ratio, 0)[0] != 0:  # raises on a pole
+            raise ValueError("series inverse needs a constant unit term" if geometric
+                             else "inverse square root needs constant term 1")
+        p = q = 1 if geometric else 2
+        num, den = self.ratio.num.coeffs, self.ratio.den.coeffs
+        scale = lcm(*(c.denominator for c in num + den))
+        Nm = [c.numerator * (scale // c.denominator) for c in num]
+        Dn = [[c.numerator * (scale // c.denominator)] for c in den]
+        H = []
+        for j in range(max(len(Nm), len(Dn))):
+            h = [0] * (p + 1)
+            h[0] = Dn[j][0] if j < len(Dn) else 0
+            h[p] = -Nm[j] if j < len(Nm) else 0
+            H.append(h)
+        P = _tx_product(Dn, H)
+        R = _tx_product(_t_derivative(H), Dn)
+        _tx_add_product(R, H, _t_derivative(Dn), -1)
+        p0 = P[0][0]
+        E, Y = [1], [[1]]
+        for k in range(order):
+            acc = []
+            for j in range(min(k, len(R) - 1) + 1):
+                _add_product(acc, R[j], Y[k - j], -(E[k] // E[k - j]))
+            for j in range(1, min(k + 1, len(P) - 1) + 1):
+                _add_product(acc, P[j], Y[k + 1 - j], -q * (k + 1 - j) * (E[k] // E[k + 1 - j]))
+            Y.append(acc)
+            E.append(E[k] * q * (k + 1) * p0)
+        return TSeries([Poly([Fraction(c, e) for c in y], self.var) for y, e in zip(Y, E)],
+                       order, self.var)
+
+
+# Polynomials in t whose coefficients are integer polynomials in the
+# catalytic variable, as nested lists: f[j][i] is the coefficient of t^j x^i.
+
+
+def _add_product(acc: list, a: list, b: list, c: int):
+    """acc += c * a * b for integer coefficient lists; acc grows as needed."""
+    acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
+    for i, u in enumerate(a):
+        if u:
+            cu = c * u
+            for j, v in enumerate(b):
+                acc[i + j] += cu * v
+
+
+def _tx_add_product(out: list, f: list, g: list, c: int):
+    """out += c * f * g, with len(out) >= len(f) + len(g) - 1."""
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            _add_product(out[i + j], a, b, c)
+
+
+def _tx_product(f: list, g: list) -> list:
+    out = [[] for _ in range(len(f) + len(g) - 1)]
+    _tx_add_product(out, f, g, 1)
+    return out
+
+
+def _t_derivative(f: list) -> list:
+    """d/dt, padded with a zero term to the length of f."""
+    return [[(j + 1) * c for c in f[j + 1]] for j in range(len(f) - 1)] + [[]]
 
 
 def rational_closed_forms(model: Model):

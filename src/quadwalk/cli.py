@@ -182,11 +182,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _nonneg(text):
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("order must be nonnegative")
-    return n
+MAX_ORDER = 100   # the enumeration is cubic in the order
+MAX_TRIALS = 100
+
+
+def _int_range(lo, hi):
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"expected an integer from {lo} to {hi}, got {n}")
+        return n
+    return parse
 
 
 def _rationals(text):
@@ -198,10 +207,12 @@ def _rationals(text):
 
 _FLAGS = {
     "--model": dict(required=True, help="path to a model JSON file"),
-    "--order": dict(type=_nonneg, default=12, help="series truncation order N (default 12)"),
+    "--order": dict(type=_int_range(0, MAX_ORDER), default=12,
+                    help=f"series truncation order N, 0..{MAX_ORDER} (default 12)"),
     "--format": dict(choices=("json", "text"), default="json"),
     "--seed": dict(type=int, default=0, help="seed for randomized weight grids"),
-    "--trials": dict(type=int, default=2, help="random weightings per step set (default 2)"),
+    "--trials": dict(type=_int_range(1, MAX_TRIALS), default=2,
+                     help=f"random weightings per step set, 1..{MAX_TRIALS} (default 2)"),
     "--a-values": dict(type=_rationals, default="1/2,1,2,3",
                        help="comma-separated rationals for a"),
     "--b-values": dict(type=_rationals, default="1/2,1,2,3",

@@ -1,9 +1,9 @@
 """Power-series expansion of a rational function at t = 0.
 
 The closed forms of the solvable models carry a ratio in Q(t) that is
-regular at t = 0; expand_ratfunc turns it into the coefficient list the
-truncated-series arithmetic of TSeries starts from.  (The module name
-is historical; the benchmark tracer addresses expand_ratfunc by this
+regular at t = 0 and vanishes there; ClosedForm.expand reads c_0 from
+expand_ratfunc to reject any other ratio.  (The module name is
+historical; the benchmark tracer addresses expand_ratfunc by this
 path.)
 """
 

@@ -1,9 +1,12 @@
 """Truncated power series in t with polynomial coefficients.
 
-Small helper ring used to expand the closed-form answers (geometric and
-inverse-square-root series) so they can be compared coefficient by
-coefficient against the walk enumeration.  Coefficients are Poly objects
-in a catalytic variable (or plain constants via Poly.const).
+ClosedForm.expand returns its closed-form series (geometric and
+inverse-square-root) as a TSeries, compared coefficient by coefficient
+against the walk enumeration.  inverse and inv_sqrt expand such series
+directly, in O(N^3) and O(N^4) coefficient operations; the tests use
+them as the reference for the recurrence in ClosedForm.expand.
+Coefficients are Poly objects in a catalytic variable (or plain
+constants via Poly.const).
 """
 
 from __future__ import annotations

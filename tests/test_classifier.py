@@ -1,12 +1,15 @@
 """Decision layer: identity battery, homogeneous table, pole
 confinement, the edge case, final verdicts and closed forms."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from quadwalk.classifier import (
     Classification,
+    ClosedForm,
     algebraic_closed_forms,
     classify,
     edge_case_checks,
@@ -18,9 +21,10 @@ from quadwalk.classifier import (
 )
 from quadwalk.enumerator import axis_series_to_poly, enumerate_walks, specialize
 from quadwalk.errors import OracleMismatch
-from quadwalk.exactalg import Poly
+from quadwalk.exactalg import Poly, RatFunc, TSeries, expand_ratfunc
 from quadwalk.model import make_model
 from quadwalk.sigmadist import build_matrices
+from tests import symbolic
 from tests.conftest import ab_from_AB, random_model
 
 
@@ -237,3 +241,55 @@ def test_classification_json_deterministic(s3_unit):
     a = classify(s3_unit).to_json()
     b = classify(s3_unit).to_json()
     assert a == b and '"verdict": "Algebraic"' in a
+
+
+def _body_series(form, order):
+    """The reference expansion: 1 - var^p ratio(t) as a TSeries, whose
+    inverse() or inv_sqrt() is the form."""
+    p = 1 if form.kind == "geometric" else 2
+    coeffs = [Poly.monomial(-c, p, form.var) for c in expand_ratfunc(form.ratio, order)]
+    body = TSeries.const(1, order, form.var) + TSeries(coeffs, order, form.var)
+    return body.inverse() if form.kind == "geometric" else body.inv_sqrt()
+
+
+def _solvable_forms(rng):
+    """Closed forms of random S1/S2 models on a + b = ab and random S3
+    models at a = b = 2."""
+    for tag in ("S1", "S2"):
+        a = 1 + rng.choice((F(1, 3), F(2, 5), F(3), F(7, 2)))
+        yield from rational_closed_forms(random_model(tag, rng, a=a, b=a / (a - 1)))
+    yield from algebraic_closed_forms(random_model("S3", rng, a=2, b=2))
+
+
+def test_expand_matches_series_inverse():
+    # the recurrence against the direct series inverse and inverse
+    # square root of 1 - var^p ratio
+    rng = random.Random(20261018)
+    for form in _solvable_forms(rng):
+        for order in (0, 1, 12, 30):
+            assert form.expand(order) == _body_series(form, order), (form.to_string(), order)
+
+
+def test_expand_matches_sympy_series():
+    rng = random.Random(5)
+    for form in _solvable_forms(rng):
+        var = sympy.Symbol(form.var)
+        ratio = symbolic.ratfunc(form.ratio)
+        expr = (1 / (1 - var * ratio) if form.kind == "geometric"
+                else 1 / sympy.sqrt(1 - var**2 * ratio))
+        want = sympy.expand(sympy.series(expr, symbolic.t, 0, 11).removeO())
+        got = form.expand(10)
+        for k in range(11):
+            have = sum(symbolic.rational(c) * var**i
+                       for i, c in enumerate(got.coefficient(k).coeffs))
+            assert sympy.expand(want.coeff(symbolic.t, k) - have) == 0, (form.to_string(), k)
+
+
+@pytest.mark.parametrize("kind", ("geometric", "inverse-sqrt"))
+def test_expand_rejects_pole_and_nonzero_constant_term(kind):
+    t = Poly.gen("t")
+    for ratio in (RatFunc(Poly.const(1), t), RatFunc(Poly([1, 1]), Poly([1, -1]))):
+        with pytest.raises(ValueError):
+            ClosedForm(kind, "x", ratio).expand(5)
+        with pytest.raises(ValueError):
+            _body_series(ClosedForm(kind, "x", ratio), 5)

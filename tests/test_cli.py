@@ -125,18 +125,35 @@ def test_contract_violation_exit_code(s3_file, monkeypatch, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+MODEL = object()  # stands for the path of the S3 model file
+
+
 @pytest.mark.parametrize("argv", [
-    ["classify", "--window", "5"],
-    ["classify", "--order", "3"],
-    ["classify", "--seed", "5"],
-    ["phase-scan", "--a-values", "1/0"],
-    ["phase-scan", "--b-values", "1,x"],
+    ["classify", "--model", MODEL, "--window", "5"],
+    ["classify", "--model", MODEL, "--order", "3"],
+    ["classify", "--model", MODEL, "--seed", "5"],
+    ["phase-scan", "--model", MODEL, "--a-values", "1/0"],
+    ["phase-scan", "--model", MODEL, "--b-values", "1,x"],
+    ["verify", "--trials", "0"],
+    ["verify", "--trials", "-1", "--order", "2"],
+    ["verify", "--order", "101"],
+    ["enumerate", "--model", MODEL, "--order", "101"],
+    ["phase-scan", "--model", MODEL, "--order", "-1"],
 ])
-def test_usage_error_exit_code(s3_file, argv, capsys):
-    # flags a subcommand does not read and bad flag values are usage
-    # errors: exit 1, not the contract-failure code 2 argparse would use
+def test_usage_error_exit_code(s3_file, argv, monkeypatch, capsys):
+    # flags a subcommand does not read and bad or out-of-range flag
+    # values are usage errors: exit 1, not the contract-failure code 2
+    # argparse would use, and no computation starts
+    from quadwalk import cli as cli_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a usage error started a computation")
+
+    for owner, name in ((cli_mod.classifier, "classify"), (cli_mod.classifier, "verify_closed_form"),
+                        (cli_mod.enumerator, "enumerate_walks"), (cli_mod, "build_matrices")):
+        monkeypatch.setattr(owner, name, forbidden)
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], "--model", s3_file, *argv[1:]])
+        main([s3_file if a is MODEL else a for a in argv])
     assert exc.value.code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err

@@ -3,6 +3,7 @@ counter, and the functional-equation residual that pins the contact
 convention."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,9 @@ from quadwalk.enumerator import (
     functional_equation_residual,
     specialize,
 )
-from quadwalk.model import make_model
+from quadwalk.errors import ResidualNonZero
+from quadwalk.model import StepSet, Weighting, build_model, make_model
+from tests import symbolic
 from tests.conftest import SUPPORTS, random_model
 
 
@@ -46,6 +49,70 @@ def brute_force_walks(model, order):
                 layer[(x, y)] = layer.get((x, y), F(0)) + w
         terms.append(layer)
     return terms
+
+
+def reference_walks(model, order):
+    """Reference dynamic program: the same layers as enumerate_walks,
+    with one Fraction product and sum per walk extension."""
+    a, b = model.a, model.b
+    steps = [(s, model.d(*s)) for s in sorted(model.stepset.steps)]
+    layer = {(0, 0): F(1)}
+    terms = [dict(layer)]
+    for _ in range(order):
+        new = {}
+        for (i, j), wt in layer.items():
+            for (di, dj), dv in steps:
+                ni, nj = i + di, j + dj
+                if ni < 0 or nj < 0:
+                    continue
+                w = wt * dv
+                if nj == 0:
+                    w *= a
+                if ni == 0:
+                    w *= b
+                key = (ni, nj)
+                prev = new.get(key)
+                new[key] = w if prev is None else prev + w
+        layer = new
+        terms.append(dict(layer))
+    return SeriesTruncation(order=order, terms=terms)
+
+
+def _height_model(tag, locus, rng, height=300):
+    """Step and boundary weights p/q with 1 <= p, q <= height on a locus:
+    a = 1, b = 1, a + b = ab, a = b = 2, b = 2 or generic."""
+    def draw():
+        return F(rng.randint(1, height), rng.randint(1, height))
+
+    d = {s: draw() for s in sorted(StepSet(tag).steps)}
+    a, b = draw(), draw()
+    if locus == "a=1":
+        a = F(1)
+    elif locus == "b=1":
+        b = F(1)
+    elif locus == "a+b=ab":
+        a = 1 + draw()
+        b = a / (a - 1)
+    elif locus == "a=b=2":
+        a = b = F(2)
+    elif locus == "b=2":
+        b = F(2)
+    return build_model(StepSet(tag), Weighting(d=d, a=a, b=b))
+
+
+LOCI = ("a=1", "b=1", "a+b=ab", "a=b=2", "b=2", "generic")
+
+
+@pytest.mark.parametrize("tag", SUPPORTS)
+def test_matches_reference_dp(tag):
+    # the scaled-integer layers give byte-identical output at order 30
+    rng = random.Random(f"reference-dp:{tag}")
+    for locus in LOCI:
+        m = _height_model(tag, locus, rng)
+        # compared outside the assert: pytest's diff of two such strings
+        # (about a megabyte each) would take minutes on a failure
+        identical = enumerate_walks(m, 30).to_json() == reference_walks(m, 30).to_json()
+        assert identical, (tag, locus)
 
 
 def test_hand_counted_s3():
@@ -121,6 +188,54 @@ def test_residual_zero_random_grid(rng):
         for _ in range(2):
             m = random_model(tag, rng)
             functional_equation_residual(m, enumerate_walks(m, 6))
+
+
+def _tampered(series, how):
+    terms = [dict(layer) for layer in series.terms]
+    if how == "changed":
+        key = sorted(terms[17])[len(terms[17]) // 2]
+        terms[17][key] += F(1, 7)
+    elif how == "changed twice":  # two nonzero monomials in the first row
+        keys = sorted(terms[17])
+        terms[17][keys[1]] -= F(2, 3)
+        terms[17][keys[-2]] += F(1, 5)
+    elif how == "dropped":
+        del terms[11][sorted(terms[11])[3]]
+    else:  # an extra monomial no 12-step walk reaches
+        terms[12][(20, 3)] = F(5, 3)
+    return SeriesTruncation(order=series.order, terms=terms)
+
+
+@pytest.mark.parametrize("how", ("changed", "changed twice", "dropped", "extra"))
+def test_residual_nonzero_on_tampered_series(how):
+    # the error names the first nonzero coefficient of the kernel
+    # equation in (n, sorted monomial) order, as sympy computes it
+    rng = random.Random(f"tampered:{how}")
+    order = 18
+    for tag in ("S2", "S5"):
+        m = _height_model(tag, "generic", rng, height=20)
+        series = _tampered(enumerate_walks(m, order), how)
+        want = symbolic.residual_terms(m, series, order)
+        (n, monomial), value = min(want.items())
+        with pytest.raises(ResidualNonZero) as exc:
+            functional_equation_residual(m, series)
+        err = exc.value
+        assert (err.n, err.monomial) == (n, monomial), (tag, how)
+        assert type(err.value) is F and symbolic.rational(err.value) == value
+
+
+def test_residual_order_below_series_order():
+    # rows above the requested order are not read: a change at t^17
+    # passes at order 16 and fails at order 17 exactly where sympy says
+    m = _height_model("S4", "generic", random.Random("order-below"), height=20)
+    series = _tampered(enumerate_walks(m, 18), "changed")
+    assert not any(functional_equation_residual(m, series, order=16))
+    (n, monomial), value = min(symbolic.residual_terms(m, series, 17).items())
+    assert n == 17
+    with pytest.raises(ResidualNonZero) as exc:
+        functional_equation_residual(m, series, order=17)
+    assert (exc.value.n, exc.value.monomial) == (n, monomial)
+    assert symbolic.rational(exc.value.value) == value
 
 
 def test_series_json_round_trip(s3_unit):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from quadwalk.curve import critical_points
 from quadwalk.errors import ZeroDenominator
@@ -245,7 +245,10 @@ def test_valuation_matches_sympy_series():
     assert cancelling.valuation() == 1
 
 
-@settings(max_examples=20, deadline=None)
+# no shrink phase: shrinking through sympy series made a failure cost
+# minutes and hundreds of MB; the failing example is reported unshrunk
+@settings(max_examples=20, deadline=None,
+          phases=tuple(p for p in Phase if p is not Phase.shrink))
 @given(polys(2), polys(2), polys(2), st.booleans())
 def test_valuation_matches_sympy_series_random(qn, rn, dn, deep):
     # p = -q + t r makes the leading terms of p and q*sqrt(1 + t) cancel;
