@@ -184,6 +184,7 @@ class _Parser(argparse.ArgumentParser):
 
 MAX_ORDER = 100   # the enumeration is cubic in the order
 MAX_TRIALS = 100
+MAX_SCAN_VALUES = 16  # per phase-scan axis: one enumeration per grid point
 
 
 def _int_range(lo, hi):
@@ -200,9 +201,13 @@ def _int_range(lo, hi):
 
 def _rationals(text):
     try:
-        return [rat_from_string(s) for s in text.split(",")]
+        values = [rat_from_string(s) for s in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
+    if len(values) > MAX_SCAN_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {MAX_SCAN_VALUES} values, got {len(values)}")
+    return values
 
 
 _FLAGS = {
@@ -214,9 +219,9 @@ _FLAGS = {
     "--trials": dict(type=_int_range(1, MAX_TRIALS), default=2,
                      help=f"random weightings per step set, 1..{MAX_TRIALS} (default 2)"),
     "--a-values": dict(type=_rationals, default="1/2,1,2,3",
-                       help="comma-separated rationals for a"),
+                       help=f"comma-separated rationals for a, at most {MAX_SCAN_VALUES}"),
     "--b-values": dict(type=_rationals, default="1/2,1,2,3",
-                       help="comma-separated rationals for b"),
+                       help=f"comma-separated rationals for b, at most {MAX_SCAN_VALUES}"),
 }
 
 # each subcommand takes exactly the flags its handler reads

@@ -16,6 +16,9 @@ of the quadratic have an explicit sum, hence
 
 with no division by a vanishing coordinate anywhere.  These agree with
 the product-of-roots (quotient) form whenever the latter is defined.
+The divisor 1/(t d) is a scalar of Q(t), so each involution is a
+Q(t)-scalar map on the two parts of z = p + q w: p goes to
+(p - t c)/(t d) and q to q/(t d), and no field inverse is taken.
 
 The critical points, the critical sets and the orbit base points are
 all checked to lie on the curve.  The check (on_curve) clears
@@ -35,6 +38,17 @@ y).  The labels P1/P2 (and P3/P4) are fixed deterministically: higher
 t-valuation of x1 first for rational roots, the selected square-root
 branch first for conjugate roots.  Any consumer quoting externally
 computed entries must allow the swap within each pair.
+
+Divisors: the functions whose divisors the classifier needs factor into
+monomials in x1, y1 and one factor P linear in one coordinate with a
+constant coefficient, say P = c1 y1 + c0(x1).  Its zero set is the graph
+y1 = -c0(x1)/c1, so the order of P at a common zero with the curve is
+the intersection number there, which is the multiplicity of the root
+x1 of the fiber polynomial C(x1, -c0(x1)/c1) (Fulton, Algebraic Curves,
+ch. 3).  That polynomial has degree <= 2: the order is 2 at the root of
+a vanishing discriminant, 1 otherwise and on a linear fiber.  The same
+holds for x1 itself on the fiber C(0, y1), and for y1.  No local series
+is expanded.
 """
 
 from __future__ import annotations
@@ -163,12 +177,25 @@ def _require_on_curve(model: Model, pt: CurvePoint):
         raise OffCurveInput(f"point {pt!r} does not satisfy the kernel equation")
 
 
+def _fiber_sum(z: QuadExtElem, c, d) -> QuadExtElem:
+    """(z - t c)/(t d), the sum of the two roots over a fiber, as a
+    Q(t)-scalar map on the parts of z = p + q w: p goes to
+    (p - t c)/(t d) and q to q/(t d), each normalised once."""
+    def over_td(num, den):
+        return RatFunc(num, den.shift(1).scale(d))
+
+    p, q = z.p, z.q
+    p = over_td(p.num - p.den.shift(1).scale(c), p.den)
+    if q.is_zero():
+        return QuadExtElem(p)
+    return QuadExtElem(p, over_td(q.num, q.den), z.ctx)
+
+
 def apply_iota1(model: Model, pt: CurvePoint, check: bool = True) -> CurvePoint:
     """First involution: keeps x1, swaps the two y1 roots of its fiber."""
     if check:
         _require_on_curve(model, pt)
-    t = RatFunc.gen()
-    s = (pt.x1 - t * model.d(1, 0)) / (t * model.d(1, -1))
+    s = _fiber_sum(pt.x1, model.d(1, 0), model.d(1, -1))
     return CurvePoint(pt.x1, s - pt.y1)
 
 
@@ -176,8 +203,7 @@ def apply_iota2(model: Model, pt: CurvePoint, check: bool = True) -> CurvePoint:
     """Second involution: keeps y1, swaps the two x1 roots of its fiber."""
     if check:
         _require_on_curve(model, pt)
-    t = RatFunc.gen()
-    s = (pt.y1 - t * model.d(0, 1)) / (t * model.d(-1, 1))
+    s = _fiber_sum(pt.y1, model.d(0, 1), model.d(-1, 1))
     return CurvePoint(s - pt.x1, pt.y1)
 
 
@@ -220,22 +246,30 @@ def _discriminant_factors(model: Model):
 
 
 def _solve_quadratic(a2: RatFunc, a1: RatFunc, a0: RatFunc):
-    """Both roots of a2 z^2 + a1 z + a0 (a2 != 0), as QuadExtElem."""
+    """(r1, r2, m): both roots of a2 z^2 + a1 z + a0 (a2 != 0), as
+    QuadExtElem, and the multiplicity m of each, 2 when the discriminant
+    vanishes (then r1 = r2) and 1 otherwise."""
     if a2.is_zero():
         raise ValueError("leading coefficient vanished")
     disc = a1 * a1 - 4 * a2 * a0
     if disc.is_zero():
         r = QuadExtElem(-a1 / (2 * a2))
-        return r, r
+        return r, r, 2
     ok, w0 = ratfunc_is_square(disc)
     if ok:
         r1 = QuadExtElem((-a1 + w0) / (2 * a2))
         r2 = QuadExtElem((-a1 - w0) / (2 * a2))
-        return _order_rational_pair(r1, r2)
+        return (*_order_rational_pair(r1, r2), 1)
     ctx = QuadExt(disc)
     w = QuadExtElem.sqrt(ctx)
     inv = QuadExtElem(1 / (2 * a2))
-    return (-QuadExtElem(a1) + w) * inv, (-QuadExtElem(a1) - w) * inv
+    return (-QuadExtElem(a1) + w) * inv, (-QuadExtElem(a1) - w) * inv, 1
+
+
+def _fiber_roots(a2: RatFunc, a1: RatFunc, a0: RatFunc):
+    """The distinct roots of a fiber quadratic with their multiplicities."""
+    r1, r2, m = _solve_quadratic(a2, a1, a0)
+    return [(r1, 2)] if m == 2 else [(r1, 1), (r2, 1)]
 
 
 def _order_rational_pair(r1, r2):
@@ -260,7 +294,7 @@ def critical_points(model: Model):
         a2 = RatFunc(tt.scale(model.d(1, -1) * model.d(-1, 1)) + Poly.const(model.A**2 - model.A))
         a1 = RatFunc(tt.scale(model.d(0, 1) * model.d(1, -1)) + t.scale(model.A * model.d(1, 0)))
         a0 = RatFunc(tt.scale(model.d(1, 1) * model.d(1, -1)))
-        r1, r2 = _solve_quadratic(a2, a1, a0)
+        r1, r2, _ = _solve_quadratic(a2, a1, a0)
         slope = QuadExtElem(RatFunc(Poly.const(model.A), t.scale(model.d(1, -1))))
         p1 = CurvePoint(r1, slope * r1)
         p2 = CurvePoint(r2, slope * r2)
@@ -268,7 +302,7 @@ def critical_points(model: Model):
         a2 = RatFunc.const(model.d(-1, 1))
         a1 = RatFunc.const(model.d(0, 1))
         a0 = RatFunc.const(model.d(1, 1))
-        r1, r2 = _solve_quadratic(a2, a1, a0)
+        r1, r2, _ = _solve_quadratic(a2, a1, a0)
         zero = QuadExtElem(RatFunc.const(0))
         p1 = CurvePoint(r1, zero)
         p2 = CurvePoint(r2, zero)
@@ -277,7 +311,7 @@ def critical_points(model: Model):
         b2 = RatFunc(tt.scale(model.d(1, -1) * model.d(-1, 1)) + Poly.const(model.B**2 - model.B))
         b1 = RatFunc(tt.scale(model.d(1, 0) * model.d(-1, 1)) + t.scale(model.B * model.d(0, 1)))
         b0 = RatFunc(tt.scale(model.d(1, 1) * model.d(-1, 1)))
-        s1, s2 = _solve_quadratic(b2, b1, b0)
+        s1, s2, _ = _solve_quadratic(b2, b1, b0)
         slope = QuadExtElem(RatFunc(Poly.const(model.B), t.scale(model.d(-1, 1))))
         p3 = CurvePoint(slope * s1, s1)
         p4 = CurvePoint(slope * s2, s2)
@@ -285,7 +319,7 @@ def critical_points(model: Model):
         b2 = RatFunc.const(model.d(1, -1))
         b1 = RatFunc.const(model.d(1, 0))
         b0 = RatFunc.const(model.d(1, 1))
-        s1, s2 = _solve_quadratic(b2, b1, b0)
+        s1, s2, _ = _solve_quadratic(b2, b1, b0)
         zero = QuadExtElem(RatFunc.const(0))
         p3 = CurvePoint(zero, s1)
         p4 = CurvePoint(zero, s2)
@@ -410,8 +444,12 @@ def _poly_zeros(model: Model, P: XYPoly):
 
 
 def _linear_fiber_zeros(model: Model, P: XYPoly, swap: bool):
-    """Common zeros of C and P = c1*y1 + c0(x1) (or roles swapped)."""
-    orig_P = P
+    """Common zeros of C and P = c1*y1 + c0(x1) (or roles swapped).
+
+    P vanishes on the graph y1 = -c0(x1)/c1, so the order of P at a
+    common zero is the multiplicity of its x1 as a root of the fiber
+    polynomial C(x1, -c0(x1)/c1), of degree <= 2 (Fulton, ch. 3).
+    """
     C = curve_equation(model)
     if swap:
         P = P.swap_xy()
@@ -444,21 +482,15 @@ def _linear_fiber_zeros(model: Model, P: XYPoly, swap: bool):
     if deg > 2:
         raise UnsupportedDivisorInput("fiber equation has degree > 2")
     if deg == 2:
-        roots = _solve_quadratic(subs.get(2, zero), subs.get(1, zero), subs.get(0, zero))
-        roots = list(roots)
+        roots = _fiber_roots(subs.get(2, zero), subs.get(1, zero), subs.get(0, zero))
     elif deg == 1:
-        roots = [QuadExtElem(-subs.get(0, zero) / subs[1])]
+        roots = [(QuadExtElem(-subs.get(0, zero) / subs[1]), 1)]
     else:
         roots = []
     out = []
-    seen = []
-    for r in roots:
+    for r, m in roots:
         val = _negate_div(c0_terms, r, c1)
-        pt = CurvePoint(val, r) if swap else CurvePoint(r, val)
-        if any(pt == q for q in seen):
-            continue
-        seen.append(pt)
-        out.append((pt, point_order(model, orig_P, pt)))
+        out.append((CurvePoint(val, r) if swap else CurvePoint(r, val), m))
     return out
 
 
@@ -470,117 +502,13 @@ def _negate_div(c0_terms, x_val, c1):
 
 
 def _coordinate_zeros(model: Model, which: str):
-    """Zero divisor of the coordinate function x1 (or y1) on the curve."""
+    """Zero divisor of the coordinate function x1 (or y1) on the curve:
+    the roots of C(0, y1) (or C(x1, 0)), each with its multiplicity."""
     if which == "x1":
         a2, a1, a0 = model.d(1, -1), model.d(1, 0), model.d(1, 1)
     else:
         a2, a1, a0 = model.d(-1, 1), model.d(0, 1), model.d(1, 1)
-    r1, r2 = _solve_quadratic(
-        RatFunc.const(a2), RatFunc.const(a1), RatFunc.const(a0)
-    )
+    roots = _fiber_roots(RatFunc.const(a2), RatFunc.const(a1), RatFunc.const(a0))
     zero = _as_elem(0)
-    pts = []
-    for r in (r1, r2):
-        pt = CurvePoint(zero, r) if which == "x1" else CurvePoint(r, zero)
-        if not any(pt == q for q, _ in pts):
-            mono = XYPoly.monomial(1, 1, 0) if which == "x1" else XYPoly.monomial(1, 0, 1)
-            pts.append((pt, point_order(model, mono, pt)))
-    return pts
-
-
-# -- local orders via implicit series -----------------------------------
-
-
-def _series_eval_xy(p: XYPoly, xs: list, ys: list, m: int):
-    """Evaluate p on truncated tau-series coordinates (lists of field
-    elements, index = power of the local parameter)."""
-    zero = _as_elem(0)
-    out = [zero for _ in range(m + 1)]
-    cache = {"x": {}, "y": {}}
-
-    def pow_series(base, n, tag):
-        if n == 0:
-            return [_as_elem(1)] + [zero] * m
-        store = cache[tag]
-        if n in store:
-            return store[n]
-        half = pow_series(base, n // 2, tag)
-        res = _series_mul(half, half, m)
-        if n % 2:
-            res = _series_mul(res, base, m)
-        store[n] = res
-        return res
-
-    for (i, j), c in sorted(p.terms.items()):
-        coeff = _as_elem(RatFunc(c))
-        term = _series_mul(pow_series(xs, i, "x"), pow_series(ys, j, "y"), m)
-        for k in range(m + 1):
-            out[k] = out[k] + coeff * term[k]
-    return out
-
-
-def _series_mul(a, b, m):
-    zero = _as_elem(0)
-    out = [zero for _ in range(m + 1)]
-    for i, ai in enumerate(a):
-        if i > m or ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j > m:
-                break
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def point_order(model: Model, P: XYPoly, pt: CurvePoint, max_depth: int = 16) -> int:
-    """Order of vanishing of P (reciprocal-chart polynomial) at a smooth
-    point of the curve, via the implicit local parametrization."""
-    C = curve_equation(model)
-    Cy = evaluate_xy(_partial(C, "y"), pt.x1, pt.y1)
-    if not Cy.is_zero():
-        param_x = True
-    else:
-        Cx = evaluate_xy(_partial(C, "x"), pt.x1, pt.y1)
-        if Cx.is_zero():
-            raise OffCurveInput("singular point reached; only Omega is singular")
-        param_x = False
-        C = C.swap_xy()
-        P = P.swap_xy()
-        pt = CurvePoint(pt.y1, pt.x1)
-        Cy = Cx
-    m = 4
-    while m <= max_depth:
-        ys = _implicit_series(model, C, pt, m)
-        xs = [pt.x1, _as_elem(1)] + [_as_elem(0)] * (m - 1)
-        vals = _series_eval_xy(P, xs, ys, m)
-        for k, v in enumerate(vals):
-            if not v.is_zero():
-                return k
-        m *= 2
-    raise UnsupportedDivisorInput(
-        f"vanishing order exceeds probe depth {max_depth}"
-    )
-
-
-def _partial(p: XYPoly, var: str) -> XYPoly:
-    out = {}
-    for (i, j), c in p.terms.items():
-        if var == "x" and i > 0:
-            out[(i - 1, j)] = c.scale(i)
-        elif var == "y" and j > 0:
-            out[(i, j - 1)] = c.scale(j)
-    return XYPoly(out, p.tvar)
-
-
-def _implicit_series(model: Model, C: XYPoly, pt: CurvePoint, m: int):
-    """y1 = phi(x1) on the curve near pt, as a tau = x1 - x1(pt) series."""
-    Cy0 = evaluate_xy(_partial(C, "y"), pt.x1, pt.y1)
-    inv = Cy0.inverse()
-    xs = [pt.x1, _as_elem(1)] + [_as_elem(0)] * (m - 1)
-    ys = [pt.y1] + [_as_elem(0)] * m
-    for k in range(1, m + 1):
-        res = _series_eval_xy(C, xs, ys, k)
-        ck = -(res[k] * inv)
-        ys[k] = ck
-    return ys
+    return [(CurvePoint(zero, r) if which == "x1" else CurvePoint(r, zero), m)
+            for r, m in roots]

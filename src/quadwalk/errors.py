@@ -72,6 +72,12 @@ class TableCellMismatch(ContractViolation):
     pass
 
 
+class SurdClassMismatch(ContractViolation):
+    """Two elements with the same square q^2 D in distinct extensions
+    have leading branch coefficients in different square classes, which
+    square roots of one function cannot have."""
+
+
 class IdentityFailed(ContractViolation):
     def __init__(self, name, residual):
         self.name = name

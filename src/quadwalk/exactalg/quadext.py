@@ -19,12 +19,20 @@ coefficient branch_lc.
   the common square root q1*w1, q2*w2 have the same leading Puiseux
   coefficient.  Two square roots of the same function differ globally
   by a sign, so comparing leading coefficients is conclusive.
+
+Arithmetic with a rational operand (q = 0) skips the work that would
+only produce zeros: a product with r in Q(t) is (p r) + (q r) w, the
+inverse of a rational element is 1/p, and a sum adds no zero radical
+part (RatFunc returns the other operand of a sum with zero).  Each
+result is the same normal form the general formulas give, since every
+RatFunc part is kept reduced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from ..errors import SurdClassMismatch
 from .poly import Poly
 from .ratfunc import RatFunc, ratfunc_is_square
 from .rationals import INF, SqrtPair
@@ -143,9 +151,11 @@ class QuadExtElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.q.is_zero() or self.q.is_zero():
+            # one factor is r in Q(t): (p r) + (q r) w
+            z, r = (self, o.p) if o.q.is_zero() else (o, self.p)
+            return QuadExtElem(z.p * r, z.q * r, z.ctx)
         ctx = self._join_ctx(o)
-        if ctx is None:
-            return QuadExtElem(self.p * o.p)
         D = ctx.D
         p = self.p * o.p + self.q * o.q * D
         q = self.p * o.q + self.q * o.p
@@ -176,6 +186,8 @@ class QuadExtElem:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
+        if self.q.is_zero():
+            return QuadExtElem(self.p.inverse())
         n = self.norm()
         return QuadExtElem(self.p / n, -self.q / n, self.ctx)
 
@@ -228,7 +240,7 @@ class QuadExtElem:
         lt1 = self.q.low_coeff() * self.ctx.branch_lc
         lt2 = o.q.low_coeff() * o.ctx.branch_lc
         if lt1.s != lt2.s:
-            raise AssertionError("equal squares with distinct surd classes")
+            raise SurdClassMismatch("equal squares with distinct surd classes")
         return lt1 == lt2
 
     def __eq__(self, other):

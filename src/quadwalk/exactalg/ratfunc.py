@@ -5,6 +5,12 @@ with a monic denominator, so representations are canonical and equality
 is tuple comparison.  t is never specialized to a number anywhere in the
 package; it stays a formal indeterminate, which realizes the standing
 transcendence assumption on the series variable for free.
+
+The operations keep that normal form without recomputing it where it
+is already known: a sum or product with a zero operand returns the
+other operand (or zero) as it stands, and negation flips the numerator
+of a reduced fraction, which stays reduced with the same monic
+denominator, so neither calls gcd.
 """
 
 from __future__ import annotations
@@ -72,12 +78,19 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_zero() or self.is_zero():
+            self.num._same_var(o.num)
+            return o if self.is_zero() else self
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        # -num/den is reduced with the same monic den: skip __init__
+        out = object.__new__(RatFunc)
+        out.num = -self.num
+        out.den = self.den
+        return out
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -92,6 +105,9 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_zero() or self.is_zero():
+            self.num._same_var(o.num)
+            return self if self.is_zero() else o
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

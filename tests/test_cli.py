@@ -139,6 +139,8 @@ MODEL = object()  # stands for the path of the S3 model file
     ["verify", "--order", "101"],
     ["enumerate", "--model", MODEL, "--order", "101"],
     ["phase-scan", "--model", MODEL, "--order", "-1"],
+    ["phase-scan", "--model", MODEL, "--a-values", ",".join(str(k) for k in range(1, 18))],
+    ["phase-scan", "--model", MODEL, "--b-values", ",".join(str(k) for k in range(1, 18))],
 ])
 def test_usage_error_exit_code(s3_file, argv, monkeypatch, capsys):
     # flags a subcommand does not read and bad or out-of-range flag
@@ -160,6 +162,37 @@ def test_usage_error_exit_code(s3_file, argv, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--help"])
     assert exc.value.code == EXIT_OK
+
+
+def test_phase_scan_grid_at_bound(s3_file, capsys):
+    # MAX_SCAN_VALUES values on each axis are accepted
+    from quadwalk.cli import MAX_SCAN_VALUES
+
+    values = ",".join(str(k) for k in range(1, MAX_SCAN_VALUES + 1))
+    argv = ["phase-scan", "--model", s3_file, "--order", "1",
+            "--a-values", values, "--b-values", values]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 + MAX_SCAN_VALUES ** 2 * 2
+
+
+def test_surd_class_mismatch_exit_code(s3_file, monkeypatch, capsys):
+    # a branch whose leading coefficient is in the wrong square class
+    # surfaces from QuadExtElem.equals as a broken contract: exit 2
+    from quadwalk import cli as cli_mod
+    from quadwalk.exactalg import Poly, QuadExt, QuadExtElem, RatFunc, SqrtPair
+
+    def compares_tampered_branches(model):
+        w1 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([4, 4]))))
+        ctx = QuadExt(RatFunc(Poly([1, 1])))
+        ctx.branch_lc = SqrtPair(0, 1, 2)
+        return w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(2), ctx))
+
+    monkeypatch.setattr(cli_mod.classifier, "classify", compares_tampered_branches)
+    assert main(["classify", "--model", s3_file]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "verification failure" in err and "surd classes" in err
+    assert "Traceback" not in err
 
 
 def test_orbit_cap_exceeded_is_contract_violation(s3_file, monkeypatch, capsys):

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from quadwalk.classifier import _u_lambda
 from quadwalk.curve import (
     CurvePoint,
+    _poly_zeros,
     _solve_quadratic,
     apply_iota1,
     apply_iota2,
@@ -15,10 +17,12 @@ from quadwalk.curve import (
     apply_sigma_inverse,
     critical_points,
     critical_sets,
+    curve_divisor,
     curve_zeros,
     curve_equation,
     evaluate_xy,
     iota1_quotient_form,
+    laurent_to_reciprocal,
     on_curve,
 )
 from quadwalk.errors import OffCurveInput
@@ -33,6 +37,7 @@ from quadwalk.exactalg import (
 from quadwalk.model import make_model
 from tests import symbolic
 from tests.conftest import SUPPORTS, random_model
+from tests.reference import iota_by_field_division, reference_divisor
 
 T = Poly.gen("t")
 
@@ -116,9 +121,9 @@ def _mixed_points(m):
     t = RatFunc.gen()
     one = QuadExtElem(RatFunc.const(1))
     ys = _solve_quadratic(-t * m.d(1, -1), 1 - t * m.d(1, 0),
-                          -t * (m.d(-1, 1) + m.d(0, 1) + m.d(1, 1)))
+                          -t * (m.d(-1, 1) + m.d(0, 1) + m.d(1, 1)))[:2]
     xs = _solve_quadratic(-t * m.d(-1, 1), 1 - t * m.d(0, 1),
-                          -t * (m.d(1, -1) + m.d(1, 0) + m.d(1, 1)))
+                          -t * (m.d(1, -1) + m.d(1, 0) + m.d(1, 1)))[:2]
     return [CurvePoint(one, y) for y in ys] + [CurvePoint(x, one) for x in xs]
 
 
@@ -305,3 +310,109 @@ def test_merged_critical_points():
     p1, p2, p3, p4 = critical_points(m)
     assert p3 == p4 and p3.x1.is_zero() and p3.y1.is_zero()
     assert p3 == p1
+
+
+def _same_elem(a, b):
+    return a.p == b.p and a.q == b.q and a.ctx is b.ctx
+
+
+def test_involutions_match_field_division(rng):
+    # the Q(t)-scalar maps give the same normal form, part by part and
+    # in the same extension, as dividing by t d in the field
+    for tag in SUPPORTS:
+        m = random_model(tag, rng)
+        s = critical_sets(m)
+        pts = s.L1_minus + s.L1_plus + s.L2_minus + s.L2_plus
+        for base in (s.L1_minus[0], s.L2_plus[2]):  # P1, P3
+            fwd = bwd = base
+            for _ in range(3):
+                fwd = apply_sigma(m, fwd, check=False)
+                bwd = apply_sigma_inverse(m, bwd, check=False)
+                pts += [fwd, bwd]
+        assert any(not p.x1.is_rational() for p in pts) or tag in ("S1", "S2")
+        for p in pts:
+            for which, iota in ((1, apply_iota1), (2, apply_iota2)):
+                got, ref = iota(m, p, False), iota_by_field_division(m, p, which)
+                assert _same_elem(got.x1, ref.x1) and _same_elem(got.y1, ref.y1), (tag, which, p)
+
+
+X1 = XYPoly.monomial(1, -1, 0)  # 1/x = x1
+Y1 = XYPoly.monomial(1, 0, -1)  # 1/y = y1
+
+
+def _divisor_functions(m):
+    """gamma1, gamma2, x gamma1, y gamma2, the coordinates x1 and y1,
+    and u_lambda for lambda in {1/2, A, 1/3} where d11 = 0."""
+    x, y = XYPoly.monomial(1, 1, 0), XYPoly.monomial(1, 0, 1)
+    fs = [m.gamma1_xy(), m.gamma2_xy(), x * m.gamma1_xy(), y * m.gamma2_xy(), X1, Y1]
+    if m.d(1, 1) == 0:
+        fs += [_u_lambda(m, lam) for lam in (F(1, 2), m.A, F(1, 3))]
+    return fs
+
+
+def _divisor_cases(rng):
+    """(model, functions): one pool-weighted model per support and the
+    S1 edge case (b = 2) with every function above, and S5 with x1 = 0
+    meeting the curve at the split rational roots y1 = -1, -2 of
+    y1^2 + 3 y1 + 2 with the coordinates alone."""
+    models = [random_model(tag, rng) for tag in SUPPORTS] + [make_model("S1", a=5, b=2)]
+    split = make_model("S5", a=2, b=3, d10=3, d11=2)
+    return [(m, _divisor_functions(m)) for m in models] + [(split, [X1, Y1])]
+
+
+def _same_divisor(got, ref):
+    return len(got) == len(ref) and all(
+        sum(1 for q, n in ref if q == p and n == k) == 1 for p, k in got)
+
+
+def test_divisor_matches_point_order(rng):
+    # orders read off root multiplicities against the implicit-series
+    # orders of the reference, zeros and poles alike
+    for m, functions in _divisor_cases(rng):
+        memo = []
+        for h in functions:
+            got = curve_divisor(m, h)
+            assert _same_divisor(got, reference_divisor(m, h, memo)), (m, h, got)
+
+
+def test_divisor_special_orders():
+    zero = QuadExtElem(RatFunc.const(0))
+    # S1 (d10 = d11 = 0): x1 = 0 meets the curve only at (0, 0), doubly
+    m = make_model("S1", a=5, b=2)
+    assert curve_divisor(m, X1) == [(CurvePoint(zero, zero), 2)]
+    # a split rational discriminant: two simple rational zeros
+    m = make_model("S5", a=2, b=3, d10=3, d11=2)
+    got = curve_divisor(m, X1)
+    assert [k for _, k in got] == [1, 1]
+    assert sorted(pt.y1.p.num[0] for pt, _ in got) == [-2, -1]
+    assert all(pt.x1.is_zero() for pt, _ in got)
+
+
+SX, SY = sympy.symbols("x1 y1")
+
+
+def _sym_xy(P):
+    return sum(symbolic.poly(c) * SX**i * SY**j for (i, j), c in P.terms.items())
+
+
+def test_divisor_orders_are_resultant_multiplicities(rng):
+    # every numerator P here is x1, y1 or linear in y1 (or x1) with a
+    # constant coefficient: the order at each common zero with C is the
+    # multiplicity of its x1 (or y1) as a root of Res(C, P) in that
+    # fiber variable, and the orders add up to the resultant's degree
+    for m, functions in _divisor_cases(rng):
+        C = _sym_xy(curve_equation(m))
+        for h in functions:
+            P = laurent_to_reciprocal(h)[0]
+            by_x1 = P.deg_y() == 1 and P.y_coeff(1).deg_x() == 0
+            var, elim = (SX, SY) if by_x1 else (SY, SX)
+            res = sympy.Poly(sympy.resultant(C, _sym_xy(P), elim), var)
+            zeros = _poly_zeros(m, P)
+            assert sum(k for _, k in zeros) == res.degree()
+            for pt, k in zeros:
+                root = symbolic.elem(pt.x1 if by_x1 else pt.y1)
+                expr = res.as_expr()
+                for j in range(k + 1):
+                    val = sympy.cancel(sympy.radsimp(expr.subs(var, root)))
+                    assert (val == 0) == (j < k), (m, h, j, k)
+                    expr = sympy.diff(expr, var)

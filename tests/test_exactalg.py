@@ -9,7 +9,7 @@ import sympy
 from hypothesis import Phase, given, settings, strategies as st
 
 from quadwalk.curve import critical_points
-from quadwalk.errors import ZeroDenominator
+from quadwalk.errors import ContractViolation, SurdClassMismatch, ZeroDenominator
 from quadwalk.exactalg import (
     INF,
     Poly,
@@ -270,6 +270,18 @@ def test_quadext_equality_across_radicands():
     assert not w1.equals(w2)
 
 
+def test_surd_class_mismatch_is_contract_violation():
+    # sqrt(4(1+t)) = 2 sqrt(1+t); a branch of sqrt(1+t) claimed to lead
+    # with sqrt(2) cannot be a square root of 1 + t: a broken contract,
+    # not an AssertionError
+    w1 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([4, 4]))))
+    ctx = QuadExt(RatFunc(Poly([1, 1])))
+    ctx.branch_lc = SqrtPair(0, 1, 2)
+    with pytest.raises(SurdClassMismatch) as exc:
+        w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(2), ctx))
+    assert isinstance(exc.value, ContractViolation)
+
+
 def test_root_selector_consistency():
     # a square radicand has no extension: its roots are rational
     with pytest.raises(ValueError):
@@ -290,3 +302,79 @@ def test_sqrtpair_field_ops():
     assert a * b == SqrtPair(F(1) - 15, F(11, 2), 5)
     assert SqrtPair(0, 2, 3) * SqrtPair(0, 1, 3) == SqrtPair(6)
     assert SqrtPair(0, 1, 6) * SqrtPair(0, 1, 10) == SqrtPair(0, 2, 15)
+
+
+# -- fast paths with a rational operand ----------------------------------
+#
+# Each expected value is built by the RatFunc constructor from Poly
+# products, which normalises from scratch, and compared part by part.
+
+
+def _assert_parts(e, p, q, ctx):
+    assert (e.p.num, e.p.den) == (p.num, p.den)
+    assert (e.q.num, e.q.den) == (q.num, q.den)
+    assert e.ctx is ctx
+
+
+FAST_CTX = QuadExt(RatFunc(Poly([1, 1])))
+FAST_ELEMS = [
+    QuadExtElem(rf([1, 2], [0, 3]), rf([F(1, 2), 0, 1], [1, 1]), FAST_CTX),
+    QuadExtElem(rf([0, 0, -3], [2, 1]), rf([0, 1], [5]), FAST_CTX),
+    QuadExtElem(rf([0]), rf([7], [0, 1, 1]), FAST_CTX),
+]
+FAST_RATS = [rf([1, 1], [0, 2]), rf([0, 0, F(-2, 3)]), rf([3], [1, 1]), rf([5])]
+
+
+@pytest.mark.parametrize("e", FAST_ELEMS)
+@pytest.mark.parametrize("r", FAST_RATS)
+def test_rational_times_radical_both_orders(e, r):
+    expect_p = RatFunc(e.p.num * r.num, e.p.den * r.den)
+    expect_q = RatFunc(e.q.num * r.num, e.q.den * r.den)
+    for got in (e * QuadExtElem(r), QuadExtElem(r) * e, e * r, r * e):
+        _assert_parts(got, expect_p, expect_q, FAST_CTX)
+        got_sym, e_sym = symbolic.elem(got), symbolic.elem(e)
+        assert sympy.cancel(sympy.radsimp(got_sym - e_sym * symbolic.ratfunc(r))) == 0
+    zero = e * QuadExtElem(RatFunc.const(0))
+    assert zero.is_zero() and zero.ctx is None and zero.p.den == Poly.const(1)
+
+
+@pytest.mark.parametrize("r", FAST_RATS)
+def test_inverse_of_rational_element(r):
+    inv = QuadExtElem(r).inverse()
+    _assert_parts(inv, RatFunc(r.den, r.num), RatFunc.const(0), None)
+    assert (QuadExtElem(r) * inv).equals(QuadExtElem(RatFunc.const(1)))
+    with pytest.raises(ZeroDivisionError):
+        QuadExtElem(RatFunc.const(0)).inverse()
+
+
+@pytest.mark.parametrize("e", FAST_ELEMS)
+@pytest.mark.parametrize("r", FAST_RATS)
+def test_add_zero_radical_part(e, r):
+    expect_p = RatFunc(e.p.num * r.den + r.num * e.p.den, e.p.den * r.den)
+    for got in (e + QuadExtElem(r), QuadExtElem(r) + e, e + r, e - (-r)):
+        _assert_parts(got, expect_p, e.q, FAST_CTX)
+    # radical parts that cancel leave a rational element
+    _assert_parts(e + (r - e), r, RatFunc.const(0), None)
+
+
+@pytest.mark.parametrize("f", FAST_RATS + [rf([0])])
+def test_ratfunc_zero_operands(f):
+    zero = RatFunc.const(0)
+    for got in (f + zero, zero + f, f - zero):
+        assert (got.num, got.den) == (f.num, f.den)
+    for got in (f * zero, zero * f):
+        assert got.is_zero() and got.den == Poly.const(1)
+    with pytest.raises(ValueError):
+        RatFunc(Poly([1, 1], "s")) + zero
+    with pytest.raises(ValueError):
+        zero * RatFunc(Poly([1, 1], "s"))
+
+
+@pytest.mark.parametrize("f", FAST_RATS + [rf([0]), rf([0, 0, 4], [6, 0, 2])])
+def test_ratfunc_negation_normal_form(f):
+    g = -f
+    assert g.den.lc() == 1
+    assert g.num.gcd(g.den).degree in (None, 0)
+    ref = RatFunc(-f.num, f.den)
+    assert (g.num, g.den) == (ref.num, ref.den)
+    assert g == ref and hash(g) == hash(ref)
