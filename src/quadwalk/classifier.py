@@ -23,7 +23,6 @@ evidence it rests on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -187,7 +186,6 @@ def _edge_mu_form(model: Model) -> XYPoly:
 # -- homogeneous analysis -------------------------------------------------
 
 
-@dataclass
 class HomStatus:
     """Outcome for the homogeneous decoupling equation.
 
@@ -196,11 +194,10 @@ class HomStatus:
     signed splitting whose signs are not both minus.
     """
 
-    kind: str
-    bot_row: int | None = None
-    signs: tuple | None = None
-    solution: tuple | None = None
-    certificates: list = field(default_factory=list)
+    __slots__ = ("kind", "bot_row", "signs", "solution", "certificates")
+    def __init__(self, kind, bot_row=None, signs=None, solution=None, certificates=None):
+        self.kind, self.bot_row, self.signs, self.solution = kind, bot_row, signs, solution
+        self.certificates = [] if certificates is None else certificates
 
     def to_jsonable(self):
         out = {"kind": self.kind}
@@ -217,7 +214,7 @@ class HomStatus:
 def _split_gamma1(model: Model):
     """Signed splitting of gamma1 (iota1 parity, iota2 parity), or None.
 
-    返回 (eps11, eps12, certificates); the minus sign is certified by a
+    Returns (eps11, eps12, certificates); the minus sign is certified by a
     non-squareness check of the explicit polynomial.
     """
     if model.A == 0:
@@ -372,7 +369,6 @@ def edge_case_checks(model: Model, M2: DistanceMatrix | None = None,
 # -- closed forms ----------------------------------------------------------
 
 
-@dataclass
 class ClosedForm:
     """Q(var, 0) or Q(0, var) in closed form.
 
@@ -380,9 +376,9 @@ class ClosedForm:
     square root 1/sqrt(1 - var^2 * ratio(t)).
     """
 
-    kind: str
-    var: str
-    ratio: RatFunc
+    __slots__ = ("kind", "var", "ratio")
+    def __init__(self, kind: str, var: str, ratio: RatFunc):
+        self.kind, self.var, self.ratio = kind, var, ratio
 
     def to_string(self) -> str:
         r = f"({self.ratio})"
@@ -496,11 +492,11 @@ def algebraic_closed_forms(model: Model):
 # -- classification ---------------------------------------------------------
 
 
-@dataclass
 class Classification:
-    verdict: str  # "Rational" | "Algebraic" | "NotDAlgebraic"
-    closed_forms: dict | None
-    trail: list
+    __slots__ = ("verdict", "closed_forms", "trail")
+    def __init__(self, verdict: str, closed_forms: dict | None, trail: list):
+        self.verdict = verdict  # "Rational" | "Algebraic" | "NotDAlgebraic"
+        self.closed_forms, self.trail = closed_forms, trail
 
     def to_jsonable(self):
         return {

@@ -53,7 +53,6 @@ is expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -75,13 +74,13 @@ from .exactalg import (
 from .model import Model
 
 
-@dataclass
 class CurvePoint:
     """Affine reciprocal-chart point; coordinates are exact algebraic
     functions of t (elements of Q(t) or one quadratic extension)."""
 
-    x1: QuadExtElem
-    y1: QuadExtElem
+    __slots__ = ("x1", "y1")
+    def __init__(self, x1: QuadExtElem, y1: QuadExtElem):
+        self.x1, self.y1 = x1, y1
 
     def __eq__(self, other):
         if not isinstance(other, CurvePoint):
@@ -329,15 +328,14 @@ def critical_points(model: Model):
     return p1, p2, p3, p4
 
 
-@dataclass
 class CriticalSets:
     """The four ordered critical lists; rows of M1/M2 use the minus
     lists, columns the plus lists, in exactly this order."""
 
-    L1_minus: list
-    L1_plus: list
-    L2_minus: list
-    L2_plus: list
+    __slots__ = ("L1_minus", "L1_plus", "L2_minus", "L2_plus")
+    def __init__(self, L1_minus: list, L1_plus: list, L2_minus: list, L2_plus: list):
+        self.L1_minus, self.L1_plus = L1_minus, L1_plus
+        self.L2_minus, self.L2_plus = L2_minus, L2_plus
 
 
 def critical_sets(model: Model) -> CriticalSets:

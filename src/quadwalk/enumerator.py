@@ -22,7 +22,6 @@ denominators of whatever Fractions it is given, row by row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -31,13 +30,13 @@ from .exactalg import Poly, rat_from_string, rat_to_string
 from .model import Model, functional_equation_coeffs
 
 
-@dataclass
 class SeriesTruncation:
     """Q(x, y) mod t^(N+1): terms[n] maps (i, j) to the exact weighted
     count of n-step walks ending at (i, j)."""
 
-    order: int
-    terms: list
+    __slots__ = ("order", "terms")
+    def __init__(self, order: int, terms: list):
+        self.order, self.terms = order, terms
 
     def __getitem__(self, n) -> dict:
         return self.terms[n]

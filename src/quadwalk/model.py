@@ -2,9 +2,10 @@
 
 A model is a step set S1..S5, positive rational step weights d_v, and
 boundary (Boltzmann) weights a, b > 0.  Internally all algebra uses
-A = 1 - 1/a and B = 1 - 1/b; the kernel is K(x, y) = xy(1 - t S(x, y))
-with S the weighted step Laurent polynomial.  The supports always
-contain (1,-1) and (-1,1):
+A = 1 - 1/a and B = 1 - 1/b.  The kernel K(x, y) = xy(1 - t S(x, y)),
+with S the weighted step Laurent polynomial, is written term by term:
+xy, then -d_v t x^(i+1) y^(j+1) for each step v = (i, j); S is not
+stored.  The supports always contain (1,-1) and (-1,1):
 
     S1 = {(1,-1), (-1,1), (0,1)}
     S2 = S1 + {(1,0)}
@@ -16,13 +17,13 @@ contain (1,-1) and (-1,1):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidSupport, ModelFormatError, NonPositiveWeight
 from .exactalg import Poly, XYPoly, rat_from_string, rat_to_string
 
 ALL_STEPS = ((1, -1), (-1, 1), (1, 0), (0, 1), (1, 1))
+_ZERO = Fraction(0)
 
 _SUPPORTS = {
     "S1": frozenset({(1, -1), (-1, 1), (0, 1)}),
@@ -33,13 +34,18 @@ _SUPPORTS = {
 }
 
 
-@dataclass(frozen=True)
 class StepSet:
-    tag: str
+    __slots__ = ("tag",)
+    def __init__(self, tag: str):
+        if tag not in _SUPPORTS:
+            raise InvalidSupport(f"unknown step set {tag!r}")
+        self.tag = tag
 
-    def __post_init__(self):
-        if self.tag not in _SUPPORTS:
-            raise InvalidSupport(f"unknown step set {self.tag!r}")
+    def __eq__(self, other):
+        return self.tag == other.tag if isinstance(other, StepSet) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.tag)
 
     @property
     def steps(self) -> frozenset:
@@ -52,13 +58,12 @@ class StepSet:
         return self.tag
 
 
-@dataclass(frozen=True)
 class Weighting:
     """Step weights (0 exactly on absent steps) and boundary weights."""
 
-    d: dict
-    a: Fraction
-    b: Fraction
+    __slots__ = ("d", "a", "b")
+    def __init__(self, d: dict, a: Fraction, b: Fraction):
+        self.d, self.a, self.b = d, a, b
 
     def weight(self, step) -> Fraction:
         return self.d.get(tuple(step), Fraction(0))
@@ -75,8 +80,7 @@ class Model:
         self.A = 1 - 1 / a
         self.B = 1 - 1 / b
         self.omega = 1 - self.A - self.B
-        self.S = _step_laurent(weighting)
-        self.K = _kernel(self.S)
+        self.K = _kernel(weighting)
 
     # step weights by name, 0 when absent
     def d(self, i, j) -> Fraction:
@@ -107,19 +111,13 @@ class Model:
         )
 
 
-def _step_laurent(w: Weighting) -> XYPoly:
-    t_terms = {}
+def _kernel(w: Weighting) -> XYPoly:
+    terms = {(1, 1): 1}
     for (i, j) in ALL_STEPS:
         c = w.weight((i, j))
         if c:
-            t_terms[(i, j)] = Poly.const(c)
-    return XYPoly(t_terms)
-
-
-def _kernel(S: XYPoly) -> XYPoly:
-    t = Poly.gen("t")
-    xy = XYPoly.monomial(1, 1, 1)
-    return xy - XYPoly({(i + 1, j + 1): c * t for (i, j), c in S.terms.items()})
+            terms[(i + 1, j + 1)] = Poly((0, -c))
+    return XYPoly(terms)
 
 
 def build_model(stepset, weighting) -> Model:
@@ -136,15 +134,12 @@ def build_model(stepset, weighting) -> Model:
         elif val != 0:
             raise InvalidSupport(f"step {step} is absent from {stepset.tag}")
     for step in stepset.steps:
-        if d.get(step, Fraction(0)) <= 0:
+        if step not in d:
             raise InvalidSupport(f"step {step} of {stepset.tag} has no weight")
     a, b = Fraction(weighting.a), Fraction(weighting.b)
     if a <= 0 or b <= 0:
         raise NonPositiveWeight("boundary weights must be positive")
-    # finite positive a, b force A, B < 1; guard kept for malformed input
-    if 1 - 1 / a >= 1 or 1 - 1 / b >= 1:
-        raise NonPositiveWeight("boundary weights give A or B >= 1")
-    w = Weighting(d={s: d.get(s, Fraction(0)) for s in ALL_STEPS}, a=a, b=b)
+    w = Weighting(d={s: d.get(s, _ZERO) for s in ALL_STEPS}, a=a, b=b)
     return Model(stepset, w)
 
 

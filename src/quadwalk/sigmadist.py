@@ -21,8 +21,6 @@ injective, a bottom answer is a decision, not a failed search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curve import (
     CriticalSets,
     CurvePoint,
@@ -43,13 +41,21 @@ from .model import Model
 MAX_WINDOW = 12
 
 
-@dataclass(frozen=True)
 class Bivaluation:
-    vx: object  # Fraction or INF
-    vy: object
+    __slots__ = ("vx", "vy")
+    def __init__(self, vx, vy):
+        self.vx, self.vy = vx, vy  # each a Fraction or INF
 
     def as_tuple(self):
         return (self.vx, self.vy)
+
+    def __eq__(self, other):
+        if not isinstance(other, Bivaluation):
+            return NotImplemented
+        return (self.vx, self.vy) == (other.vx, other.vy)
+
+    def __hash__(self):
+        return hash((self.vx, self.vy))
 
     def finite(self):
         return self.vx != INF and self.vy != INF
@@ -85,17 +91,16 @@ def step_valuation_forward(v: Bivaluation) -> Bivaluation:
     return Bivaluation(2 * j2 - i, j2)
 
 
-@dataclass
 class OrbitProfile:
     """Explicit orbit points covering [bwd_start, fwd_start] (grown on
     demand) plus certified affine valuation tails beyond both ends."""
 
-    base: CurvePoint
-    window: int
-    points: dict          # n -> CurvePoint
-    valuations: dict      # n -> Bivaluation
-    fwd_start: int        # first index with i < j < 0
-    bwd_start: int        # first index (negative direction) with j < i < 0
+    __slots__ = ("base", "window", "points", "valuations", "fwd_start", "bwd_start")
+    def __init__(self, base, window, points, valuations, fwd_start, bwd_start):
+        self.base, self.window = base, window
+        self.points, self.valuations = points, valuations  # n -> CurvePoint, n -> Bivaluation
+        self.fwd_start = fwd_start  # first index with i < j < 0
+        self.bwd_start = bwd_start  # first index (negative direction) with j < i < 0
 
     def point(self, model: Model, n: int) -> CurvePoint:
         """sigma^n of the base point, extending the cache on demand."""
@@ -200,14 +205,13 @@ def sigma_distance(model: Model, p_minus: CurvePoint, p_plus: CurvePoint,
 BOT = None
 
 
-@dataclass
 class DistanceMatrix:
     """4x4 sigma-distances; rows from an L^- list, columns from L^+."""
 
-    which: str
-    entries: list
-    row_labels: list
-    col_labels: list
+    __slots__ = ("which", "entries", "row_labels", "col_labels")
+    def __init__(self, which: str, entries: list, row_labels: list, col_labels: list):
+        self.which, self.entries = which, entries
+        self.row_labels, self.col_labels = row_labels, col_labels
 
     def strictly_negative_or_bot(self) -> bool:
         return all(

@@ -1,5 +1,5 @@
-"""Slow reference formulas the fast paths of quadwalk.curve are tested
-against.
+"""Slow reference formulas the fast paths of quadwalk.curve and
+quadwalk.model are tested against.
 
 point_order computes the order of vanishing of a reciprocal-chart
 polynomial at a smooth point of the kernel curve by expanding the curve
@@ -9,7 +9,9 @@ of P along it.  It knows nothing of fiber polynomials or discriminants,
 so it is an independent check on the orders curve_divisor reads off the
 root multiplicities.  iota_by_field_division is the involution written
 as a division in the quadratic extension, the form the Q(t)-scalar map
-replaced.
+replaced.  kernel_by_poly_arithmetic builds K = xy(1 - t S) through
+XYPoly/Poly products, negation and subtraction from the step Laurent
+polynomial S, the form the term-by-term kernel replaced.
 """
 
 from quadwalk.curve import (
@@ -23,8 +25,16 @@ from quadwalk.curve import (
     laurent_to_reciprocal,
 )
 from quadwalk.errors import OffCurveInput, UnsupportedDivisorInput
-from quadwalk.exactalg import RatFunc, XYPoly
-from quadwalk.model import Model
+from quadwalk.exactalg import Poly, RatFunc, XYPoly
+from quadwalk.model import ALL_STEPS, Model
+
+
+def kernel_by_poly_arithmetic(model):
+    """xy - xy t S, with S = sum of d_v x^i y^j over the steps v = (i, j)."""
+    S = XYPoly({(i, j): Poly.const(model.d(i, j)) for (i, j) in ALL_STEPS if model.d(i, j)})
+    t = Poly.gen("t")
+    xy = XYPoly.monomial(1, 1, 1)
+    return xy - XYPoly({(i + 1, j + 1): c * t for (i, j), c in S.terms.items()})
 
 
 def iota_by_field_division(model, pt, which):

@@ -10,6 +10,7 @@ import sympy
 from quadwalk.classifier import (
     Classification,
     ClosedForm,
+    HomStatus,
     algebraic_closed_forms,
     classify,
     edge_case_checks,
@@ -293,3 +294,10 @@ def test_expand_rejects_pole_and_nonzero_constant_term(kind):
             ClosedForm(kind, "x", ratio).expand(5)
         with pytest.raises(ValueError):
             _body_series(ClosedForm(kind, "x", ratio), 5)
+
+
+def test_hom_status_certificates_not_shared():
+    a, b = HomStatus(kind="no-solution"), HomStatus(kind="no-solution")
+    assert a.certificates == [] and a.certificates is not b.certificates
+    a.certificates.append({"certificate": "x", "holds": True})
+    assert b.to_jsonable() == {"kind": "no-solution", "certificates": []}

@@ -205,6 +205,22 @@ def test_orbit_cap_exceeded_is_contract_violation(s3_file, monkeypatch, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+def test_import_loads_no_dataclass_machinery():
+    # start-up cost: the CLI import must not pull in dataclasses or the
+    # inspect/ast stack; the diff leaves out what site loaded before it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; before = set(sys.modules); import quadwalk.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "quadwalk.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast"}
+
+
 def test_runs_without_sympy():
     # sympy is a test dependency only: the package must not import it
     src = Path(__file__).resolve().parents[1] / "src"

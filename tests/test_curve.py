@@ -42,6 +42,13 @@ from tests.reference import iota_by_field_division, reference_divisor
 T = Poly.gen("t")
 
 
+def test_curve_point_is_unhashable():
+    one = QuadExtElem(RatFunc.const(1))
+    assert CurvePoint(one, one) == CurvePoint(x1=one, y1=one)
+    with pytest.raises(TypeError):
+        hash(CurvePoint(one, one))
+
+
 def test_critical_point_closed_form_s1():
     # generic A: x1(P2) = -d01 d1m1 t^2 / (d1m1 dm11 t^2 + A^2 - A),
     # y1(P2) = -A d01 t / (same), from the worked S1 example

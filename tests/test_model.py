@@ -7,6 +7,7 @@ import pytest
 from quadwalk.errors import InvalidSupport, ModelFormatError, NonPositiveWeight
 from quadwalk.exactalg import Poly, XYPoly
 from quadwalk.model import (
+    ALL_STEPS,
     StepSet,
     Weighting,
     build_model,
@@ -15,6 +16,8 @@ from quadwalk.model import (
     model_from_json,
     model_to_json,
 )
+from tests.conftest import SUPPORTS, random_model
+from tests.reference import kernel_by_poly_arithmetic
 
 T = Poly.gen("t")
 
@@ -85,8 +88,6 @@ def test_functional_equation_coeffs():
 
 
 def test_model_invariants_grid(rng):
-    from tests.conftest import SUPPORTS, random_model
-
     for tag in SUPPORTS:
         m = random_model(tag, rng)
         assert m.omega == 1 - m.A - m.B
@@ -122,3 +123,46 @@ def test_json_round_trip():
 def test_json_rejects_malformed(bad):
     with pytest.raises(ModelFormatError):
         model_from_json(bad)
+
+
+def _tall_model(tag, rng):
+    # weights and boundary weights of height up to 300
+    rat = lambda: F(rng.randint(1, 300), rng.randint(1, 300))
+    d = {s: rat() for s in sorted(StepSet(tag).steps)}
+    return build_model(StepSet(tag), Weighting(d=d, a=rat(), b=rat()))
+
+
+@pytest.mark.parametrize("tag", SUPPORTS)
+def test_kernel_matches_poly_arithmetic(tag, rng):
+    for draw in (random_model, _tall_model):
+        for _ in range(25):
+            m = draw(tag, rng)
+            ref = kernel_by_poly_arithmetic(m)
+            assert m.K.terms == ref.terms and m.K.tvar == ref.tvar
+            assert list(m.K.terms) == list(ref.terms)
+
+
+def test_stepset_value_semantics():
+    with pytest.raises(InvalidSupport):
+        StepSet("S9")
+    assert StepSet("S3") == StepSet("S3") and hash(StepSet("S3")) == hash(StepSet("S3"))
+    assert StepSet("S3") != StepSet("S4") and StepSet("S3") != "S3"
+    assert len({StepSet("S1"), StepSet("S1"), StepSet("S2")}) == 2
+
+
+def test_weighting_builds_the_same_model():
+    d = {(1, -1): F(1, 2), (-1, 1): 2, (0, 1): "1"}
+    for w in (Weighting(d=d, a=3, b=F(3, 2)), Weighting(d, 3, F(3, 2))):
+        m = build_model(StepSet("S1"), w)
+        assert repr(m) == "Model(S1, d[1,-1]=1/2, d[-1,1]=2, d[0,1]=1, a=3, b=3/2)"
+        assert model_to_json(m) == (
+            '{"a": "3", "b": "3/2", "stepset": "S1", '
+            '"weights": {"-1,1": "2", "0,1": "1", "1,-1": "1/2"}}'
+        )
+        assert list(m.weighting.d) == list(ALL_STEPS)
+        assert all(type(v) is F for v in m.weighting.d.values())
+        assert m.weighting.d[(1, 0)] == 0 and m.weighting.d[(1, 1)] == 0
+        assert (m.A, m.B, m.omega) == (F(2, 3), F(1, 3), 0)
+        expected = {(1, 1): 1, (2, 0): T.scale(F(-1, 2)), (0, 2): T.scale(-2), (1, 2): -T}
+        assert m.K == XYPoly(expected)
+        assert list(m.K.terms) == [(1, 1), (2, 0), (0, 2), (1, 2)]

@@ -28,6 +28,13 @@ from quadwalk.sigmadist import (
 from tests.conftest import SUPPORTS, random_model
 
 
+def test_bivaluation_value_semantics():
+    assert Bivaluation(F(-2), INF) == Bivaluation(F(-2), INF)
+    assert hash(Bivaluation(F(-2), INF)) == hash(Bivaluation(-2, INF))
+    assert Bivaluation(-2, -1) != Bivaluation(-2, INF) and Bivaluation(0, 0) != (0, 0)
+    assert len({Bivaluation(-2, -1), Bivaluation(F(-2), F(-1)), Bivaluation(-1, -2)}) == 2
+
+
 def test_bivaluation_examples():
     m = make_model("S1", a=5, b=2)
     _, p2, _, _ = critical_points(m)
