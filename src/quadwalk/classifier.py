@@ -49,21 +49,9 @@ from .sigmadist import DistanceMatrix, build_matrices
 
 HALF = Fraction(1, 2)
 
-X = XYPoly.monomial(1, 1, 0)
-Y = XYPoly.monomial(1, 0, 1)
-
 
 def _t() -> Poly:
     return Poly.gen("t")
-
-
-def _x_gamma1(model: Model) -> XYPoly:
-    """x * gamma1 = A - t d1m1 x/y as a Laurent polynomial."""
-    return XYPoly({(0, 0): Poly.const(model.A), (1, -1): -_t().scale(model.d(1, -1))})
-
-
-def _y_gamma2(model: Model) -> XYPoly:
-    return XYPoly({(0, 0): Poly.const(model.B), (-1, 1): -_t().scale(model.d(-1, 1))})
 
 
 def _u_lambda(model: Model, lam: Fraction) -> XYPoly:
@@ -107,7 +95,7 @@ def verify_identity_lemmas(model: Model, lambdas=None) -> list:
             report.append(
                 _residual_check(model, f"u-complement(lam={lam})", u + mirror)
             )
-            lhs = (XYPoly({(0, 0): Poly.const(lam - model.A)}) + _x_gamma1(model)) * u
+            lhs = (model.gamma1_xy().shift(1, 0) + (lam - model.A)) * u
             rhs = XYPoly(
                 {
                     (0, 0): Poly.const(lam * (1 - lam)) - (t * t).scale(d(1, -1) * d(-1, 1)),
@@ -117,7 +105,7 @@ def verify_identity_lemmas(model: Model, lambdas=None) -> list:
             report.append(
                 _residual_check(model, f"u-x-product(lam={lam})", lhs - rhs)
             )
-            lhs = -(XYPoly({(0, 0): Poly.const(1 - lam - model.B)}) + _y_gamma2(model)) * u
+            lhs = -(model.gamma2_xy().shift(0, 1) + (1 - lam - model.B)) * u
             rhs = XYPoly(
                 {
                     (0, 0): Poly.const(lam * (1 - lam)) - (t * t).scale(d(1, -1) * d(-1, 1)),
@@ -128,22 +116,30 @@ def verify_identity_lemmas(model: Model, lambdas=None) -> list:
                 _residual_check(model, f"u-y-product(lam={lam})", lhs - rhs)
             )
     if model.d(1, 0) == 0 and model.d(0, 1) == 0:
-        g = _x_gamma1(model) + XYPoly({(0, 0): Poly.const(HALF - model.A)})
-        report.append(
-            _residual_check(model, "x-side-square", g * g - _sq_form_x(model))
-        )
-        g = _y_gamma2(model) + XYPoly({(0, 0): Poly.const(HALF - model.B)})
-        report.append(
-            _residual_check(model, "y-side-square", g * g - _sq_form_y(model))
-        )
+        report += [_x_side_square(model), _y_side_square(model)]
     if model.tag == "S1" and model.B == HALF:
-        u = _u_lambda(model, HALF)
-        report.append(_residual_check(model, "edge-u-square", u * u - _sq_form_x(model)))
-        mu = _edge_mu_form(model)
-        report.append(
-            _residual_check(model, "edge-y-product", -(_y_gamma2(model) * u) - mu)
-        )
+        report += _edge_identities(model)
     return report
+
+
+def _x_side_square(model: Model) -> dict:
+    """(x gamma1 + 1/2 - A)^2 is the x-side square form on the curve."""
+    g = model.gamma1_xy().shift(1, 0) + (HALF - model.A)
+    return _residual_check(model, "x-side-square", g * g - _sq_form_x(model))
+
+
+def _y_side_square(model: Model) -> dict:
+    g = model.gamma2_xy().shift(0, 1) + (HALF - model.B)
+    return _residual_check(model, "y-side-square", g * g - _sq_form_y(model))
+
+
+def _edge_identities(model: Model) -> list:
+    """S1 with B = 1/2: with u = u_(1/2), u^2 is the x-side square form
+    and -y gamma2 u is the edge mu form on the curve."""
+    u = _u_lambda(model, HALF)
+    yg2 = model.gamma2_xy().shift(0, 1)
+    return [_residual_check(model, "edge-u-square", u * u - _sq_form_x(model)),
+            _residual_check(model, "edge-y-product", -(yg2 * u) - _edge_mu_form(model))]
 
 
 def _sq_form_x(model: Model) -> XYPoly:
@@ -221,9 +217,8 @@ def _split_gamma1(model: Model):
         # gamma1 = -t d1m1 / y is a function of y alone
         return 1, 1, [{"certificate": "gamma1-pure-y", "holds": True}]
     if model.A == HALF and model.d(1, 0) == 0:
-        sq = _sq_form_x(model)
-        _residual_check(model, "x-side-square", (_x_gamma1(model)) * (_x_gamma1(model)) - sq)
-        if xpoly_is_square(sq):
+        _x_side_square(model)
+        if xpoly_is_square(_sq_form_x(model)):
             raise TableCellMismatch("x-side square form is a square; sign cannot be -")
         return -1, 1, [{"certificate": "x-side-square-nonsquare", "holds": True}]
     return None
@@ -233,19 +228,14 @@ def _split_gamma2(model: Model):
     if model.B == 0:
         return 1, 1, [{"certificate": "gamma2-pure-x", "holds": True}]
     if model.B == HALF and model.tag == "S3":
-        sq = _sq_form_y(model)
-        _residual_check(model, "y-side-square", (_y_gamma2(model)) * (_y_gamma2(model)) - sq)
-        if xpoly_is_square(sq):
+        _y_side_square(model)
+        if xpoly_is_square(_sq_form_y(model)):
             raise TableCellMismatch("y-side square form is a square; sign cannot be -")
         return 1, -1, [{"certificate": "y-side-square-nonsquare", "holds": True}]
     if model.B == HALF and model.tag == "S1":
-        u = _u_lambda(model, HALF)
-        usq = _sq_form_x(model)
-        _residual_check(model, "edge-u-square", u * u - usq)
-        if xpoly_is_square(usq):
+        _edge_identities(model)
+        if xpoly_is_square(_sq_form_x(model)):
             raise TableCellMismatch("edge u^2 is a square; sign cannot be -")
-        mu = _edge_mu_form(model)
-        _residual_check(model, "edge-y-product", -(_y_gamma2(model) * u) - mu)
         # gamma2 = (1/u) * (-mu/y): first factor iota1-odd, second pure y
         return -1, 1, [
             {"certificate": "edge-u-square-nonsquare", "holds": True},

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import classifier, enumerator, model as model_mod
 from .errors import ContractViolation, ModelFormatError, QuadwalkError
-from .exactalg import rat_from_string, rat_to_string
+from .exactalg import TooManyDigits, rat_from_string, rat_to_string
 from .model import build_model, model_from_json, model_to_json, Weighting
 from .sigmadist import build_matrices
 
@@ -202,6 +202,8 @@ def _int_range(lo, hi):
 def _rationals(text):
     try:
         values = [rat_from_string(s) for s in text.split(",")]
+    except TooManyDigits as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
     if len(values) > MAX_SCAN_VALUES:

@@ -5,11 +5,13 @@ projective completion has x1 = 1/x, y1 = 1/y, and the affine equation
 
     C(x1, y1) = x1 y1 - t (d1m1 y1^2 + dm11 x1^2 + d10 y1 + d01 x1 + d11)
 
-covers the whole curve except the singular corner Omega (x = y = 0),
-which no orbit ever visits.  Coordinates at infinity in the original
-(x, y) chart are just zero values of x1, y1 here, so the involutions can
-be evaluated with Vieta's formulas -- over a fixed fiber the two roots
-of the quadratic have an explicit sum, hence
+is the kernel K of the model rewritten in that chart: curve_equation
+derives it from K and states no coefficient of its own.  It covers the
+whole curve except the singular corner Omega (x = y = 0), which no
+orbit ever visits.  Coordinates at infinity in the original (x, y)
+chart are just zero values of x1, y1 here, so the involutions can be
+evaluated with Vieta's formulas -- over a fixed fiber the two roots of
+the quadratic have an explicit sum, hence
 
     iota1 (x1, y1) = (x1, (x1 - t d10)/(t d1m1) - y1)
     iota2 (x1, y1) = ((y1 - t d01)/(t dm11) - x1, y1)
@@ -34,7 +36,9 @@ Critical points: the zeros of gamma1 on the curve satisfy, for A != 0,
 the quadratic obtained by substituting y1 = A x1 / (t d1m1) into C = 0;
 for A = 0 they are the two points with y = infinity, whose x1 values
 solve dm11 x1^2 + d01 x1 + d11 = 0 (the top coefficient of the kernel in
-y).  The labels P1/P2 (and P3/P4) are fixed deterministically: higher
+y).  The zeros of gamma2 are the same computation with x and y swapped,
+so one helper serves both, called with the weights mirrored.  The
+labels P1/P2 (and P3/P4) are fixed deterministically: higher
 t-valuation of x1 first for rational roots, the selected square-root
 branch first for conjugate roots.  Any consumer quoting externally
 computed entries must allow the swap within each pair.
@@ -102,18 +106,9 @@ def _as_elem(v) -> QuadExtElem:
 
 
 def curve_equation(model: Model) -> XYPoly:
-    """C(x1, y1) as an XYPoly whose (i, j) key means x1^i y1^j."""
-    t = Poly.gen("t")
-    return XYPoly(
-        {
-            (1, 1): Poly.const(1),
-            (0, 2): -t.scale(model.d(1, -1)),
-            (2, 0): -t.scale(model.d(-1, 1)),
-            (0, 1): -t.scale(model.d(1, 0)),
-            (1, 0): -t.scale(model.d(0, 1)),
-            (0, 0): -t.scale(model.d(1, 1)),
-        }
-    )
+    """C(x1, y1), the kernel K in the reciprocal chart, as an XYPoly
+    whose (i, j) key means x1^i y1^j."""
+    return laurent_to_reciprocal(model.K)[0]
 
 
 def evaluate_xy(p: XYPoly, x_val: QuadExtElem, y_val: QuadExtElem) -> QuadExtElem:
@@ -214,16 +209,6 @@ def apply_sigma_inverse(model: Model, pt: CurvePoint, check: bool = True) -> Cur
     return apply_iota1(model, apply_iota2(model, pt, check), False)
 
 
-def iota1_quotient_form(model: Model, pt: CurvePoint) -> QuadExtElem:
-    """y1 image by the product-of-roots formula; needs y1 != 0."""
-    num = (
-        _as_elem(model.d(-1, 1)) * pt.x1 * pt.x1
-        + _as_elem(model.d(0, 1)) * pt.x1
-        + _as_elem(model.d(1, 1))
-    )
-    return num / (_as_elem(model.d(1, -1)) * pt.y1)
-
-
 # -- critical points ----------------------------------------------------
 
 
@@ -281,48 +266,34 @@ def _order_rational_pair(r1, r2):
     return (r1, r2) if k1 >= k2 else (r2, r1)
 
 
+def _gamma1_zeros(A, d1m1, dm11, d10, d01, d11):
+    """The two zeros of gamma1 on the curve as (x1, y1) pairs.  Called
+    with the weights mirrored (B, dm11, d1m1, d01, d10, d11) it gives the
+    zeros of gamma2 as (y1, x1) pairs."""
+    t = Poly.gen("t")
+    tt = t * t
+    if A != 0:
+        a2 = RatFunc(tt.scale(d1m1 * dm11) + Poly.const(A**2 - A))
+        a1 = RatFunc(tt.scale(d01 * d1m1) + t.scale(A * d10))
+        a0 = RatFunc(tt.scale(d11 * d1m1))
+        r1, r2, _ = _solve_quadratic(a2, a1, a0)
+        slope = QuadExtElem(RatFunc(Poly.const(A), t.scale(d1m1)))
+        return (r1, slope * r1), (r2, slope * r2)
+    r1, r2, _ = _solve_quadratic(RatFunc.const(dm11), RatFunc.const(d01), RatFunc.const(d11))
+    zero = QuadExtElem(RatFunc.const(0))
+    return (r1, zero), (r2, zero)
+
+
 def critical_points(model: Model):
     """(P1, P2, P3, P4): the zeros on the curve of gamma1 and gamma2."""
     f1, f2, f3 = _discriminant_factors(model)
     if f1.is_zero() or f2.is_zero() or f3.is_zero():
         raise DegenerateWeights("discriminant factor vanishes identically")
-    t = Poly.gen("t")
-    tt = t * t
-
-    if model.A != 0:
-        a2 = RatFunc(tt.scale(model.d(1, -1) * model.d(-1, 1)) + Poly.const(model.A**2 - model.A))
-        a1 = RatFunc(tt.scale(model.d(0, 1) * model.d(1, -1)) + t.scale(model.A * model.d(1, 0)))
-        a0 = RatFunc(tt.scale(model.d(1, 1) * model.d(1, -1)))
-        r1, r2, _ = _solve_quadratic(a2, a1, a0)
-        slope = QuadExtElem(RatFunc(Poly.const(model.A), t.scale(model.d(1, -1))))
-        p1 = CurvePoint(r1, slope * r1)
-        p2 = CurvePoint(r2, slope * r2)
-    else:
-        a2 = RatFunc.const(model.d(-1, 1))
-        a1 = RatFunc.const(model.d(0, 1))
-        a0 = RatFunc.const(model.d(1, 1))
-        r1, r2, _ = _solve_quadratic(a2, a1, a0)
-        zero = QuadExtElem(RatFunc.const(0))
-        p1 = CurvePoint(r1, zero)
-        p2 = CurvePoint(r2, zero)
-
-    if model.B != 0:
-        b2 = RatFunc(tt.scale(model.d(1, -1) * model.d(-1, 1)) + Poly.const(model.B**2 - model.B))
-        b1 = RatFunc(tt.scale(model.d(1, 0) * model.d(-1, 1)) + t.scale(model.B * model.d(0, 1)))
-        b0 = RatFunc(tt.scale(model.d(1, 1) * model.d(-1, 1)))
-        s1, s2, _ = _solve_quadratic(b2, b1, b0)
-        slope = QuadExtElem(RatFunc(Poly.const(model.B), t.scale(model.d(-1, 1))))
-        p3 = CurvePoint(slope * s1, s1)
-        p4 = CurvePoint(slope * s2, s2)
-    else:
-        b2 = RatFunc.const(model.d(1, -1))
-        b1 = RatFunc.const(model.d(1, 0))
-        b0 = RatFunc.const(model.d(1, 1))
-        s1, s2, _ = _solve_quadratic(b2, b1, b0)
-        zero = QuadExtElem(RatFunc.const(0))
-        p3 = CurvePoint(zero, s1)
-        p4 = CurvePoint(zero, s2)
-
+    d = model.d
+    p1, p2 = (CurvePoint(x1, y1) for x1, y1 in
+              _gamma1_zeros(model.A, d(1, -1), d(-1, 1), d(1, 0), d(0, 1), d(1, 1)))
+    p3, p4 = (CurvePoint(x1, y1) for y1, x1 in
+              _gamma1_zeros(model.B, d(-1, 1), d(1, -1), d(0, 1), d(1, 0), d(1, 1)))
     for p in (p1, p2, p3, p4):
         _require_on_curve(model, p)
     return p1, p2, p3, p4

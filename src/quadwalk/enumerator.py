@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ResidualNonZero
-from .exactalg import Poly, rat_from_string, rat_to_string
+from .exactalg import Poly, rat_to_string
 from .model import Model, functional_equation_coeffs
 
 
@@ -51,15 +51,6 @@ class SeriesTruncation:
             for term in self.terms
         ]
         return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeriesTruncation":
-        doc = json.loads(text)
-        terms = [
-            {(int(i), int(j)): rat_from_string(c) for i, j, c in entries}
-            for entries in doc
-        ]
-        return cls(order=len(terms) - 1, terms=terms)
 
 
 def enumerate_walks(model: Model, order: int) -> SeriesTruncation:

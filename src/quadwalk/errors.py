@@ -53,10 +53,6 @@ class UnsupportedDivisorInput(QuadwalkError):
     """curve_zeros got a factor outside the shapes it can solve exactly."""
 
 
-class RegimeNotApplicable(QuadwalkError):
-    pass
-
-
 class DegenerateWeights(ContractViolation):
     """A discriminant factor of the critical points vanished, which no
     valid model allows."""

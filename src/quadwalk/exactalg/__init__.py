@@ -3,6 +3,11 @@ functions in t, quadratic extensions of Q(t) with exact valuations,
 truncated power series for the closed forms, and the bivariate helpers
 the curve and classifier layers build on.
 
+A quadratic extension pins its square root by the leading coefficient c
+of the radicand (the root leads with the principal square root of c),
+so deciding its valuations and equalities takes exact rational square
+roots only: no integer is ever factored.
+
 All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share across threads.
 """
@@ -11,7 +16,7 @@ from .poly import Poly, poly_is_square
 from .puiseux import expand_ratfunc
 from .quadext import QuadExt, QuadExtElem
 from .ratfunc import RatFunc, ratfunc_is_square
-from .rationals import INF, SqrtPair, rat_from_string, rat_to_string
+from .rationals import INF, TooManyDigits, parse_int, rat_from_string, rat_to_string
 from .tseries import TSeries
 from .xypoly import XYPoly, reduce_mod, xpoly_is_square
 
@@ -21,10 +26,11 @@ __all__ = [
     "QuadExt",
     "QuadExtElem",
     "RatFunc",
-    "SqrtPair",
     "TSeries",
+    "TooManyDigits",
     "XYPoly",
     "expand_ratfunc",
+    "parse_int",
     "poly_is_square",
     "rat_from_string",
     "rat_to_string",

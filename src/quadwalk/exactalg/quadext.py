@@ -2,23 +2,32 @@
 
 A QuadExt context fixes a non-square radicand D in Q(t) together with a
 branch: of the two square roots of D in the Puiseux series field, the
-selected one is the root whose leading coefficient is rho*sqrt(s) with
-rho > 0 (s the squarefree part of the leading Laurent coefficient of D).
-Elements are p + q*w with p, q in Q(t) and w the selected root.
+selected one is the root whose leading coefficient is the principal
+square root of c, the leading Laurent coefficient of D (positive for
+c > 0, i*sqrt(-c) for c < 0).  Elements are p + q*w with p, q in Q(t)
+and w the selected root.
 
 Everything downstream relies on two exact decision procedures here.
-Neither expands a series: the branch enters only through its leading
-coefficient branch_lc.
+Neither expands a series nor factors an integer: the branch enters only
+through sqrt(c), and each question about it reduces to whether a
+rational is a square (sqrt_fraction).
 
 * valuation: v(p + q*w) follows from min(v(p), v(q) + v(D)/2) except
-  when the leading terms cancel, in which case the norm identity
+  when the leading terms cancel, p0 + q0*sqrt(c) = 0 with p0, q0 the
+  leading coefficients of p and q.  That needs sqrt(c) = -p0/q0, so c
+  a rational square; then the norm identity
   v(u) + v(conj u) = v(p^2 - q^2 D) resolves it;
 
 * equality across different contexts: p1 + q1*w1 = p2 + q2*w2 iff the
   rational parts agree, q1^2 D1 = q2^2 D2, and the selected branches of
   the common square root q1*w1, q2*w2 have the same leading Puiseux
-  coefficient.  Two square roots of the same function differ globally
-  by a sign, so comparing leading coefficients is conclusive.
+  coefficient, q1(0)*sqrt(c1) = q2(0)*sqrt(c2).  Equal squares make
+  c1/c2 = (q2(0)/q1(0))^2 a rational square, and
+  sqrt(c1) = sqrt(c1/c2)*sqrt(c2) for principal roots of two rationals
+  of one sign, so the test is q1(0)*sqrt(c1/c2) = q2(0).  Two square
+  roots of the same function differ globally by a sign, so comparing
+  leading coefficients is conclusive.  A c1/c2 that is not a rational
+  square contradicts the equal squares: SurdClassMismatch.
 
 Arithmetic with a rational operand (q = 0) skips the work that would
 only produce zeros: a product with r in Q(t) is (p r) + (q r) w, the
@@ -35,13 +44,13 @@ from fractions import Fraction
 from ..errors import SurdClassMismatch
 from .poly import Poly
 from .ratfunc import RatFunc, ratfunc_is_square
-from .rationals import INF, SqrtPair
+from .rationals import INF, sqrt_fraction
 
 
 class QuadExt:
     """Field context: the radicand and the selected branch of its root."""
 
-    __slots__ = ("D", "half_val", "branch_lc")
+    __slots__ = ("D", "half_val", "c")
 
     def __init__(self, D: RatFunc):
         if isinstance(D, Poly):
@@ -53,11 +62,7 @@ class QuadExt:
             raise ValueError("radicand is a square; use rational elements instead")
         self.D = D
         self.half_val = D.valuation() / 2
-        root = SqrtPair.sqrt_of_rational(D.low_coeff())
-        # canonical branch: positive rho in rho*sqrt(s)
-        if root.b < 0:
-            root = -root
-        self.branch_lc = root
+        self.c = D.low_coeff()  # the selected root leads with sqrt(c)
 
     @property
     def var(self):
@@ -102,9 +107,6 @@ class QuadExtElem:
 
     def is_zero(self):
         return self.p.is_zero() and self.q.is_zero()
-
-    def is_rational(self):
-        return self.q.is_zero()
 
     def _join_ctx(self, other: "QuadExtElem") -> QuadExt | None:
         a, b = self.ctx, other.ctx
@@ -214,8 +216,8 @@ class QuadExtElem:
         mp = self.p.valuation()
         if mp != mq:
             return min(mp, mq)
-        lead = SqrtPair(self.p.low_coeff()) + self.q.low_coeff() * self.ctx.branch_lc
-        if not lead.is_zero():
+        root = sqrt_fraction(self.ctx.c)
+        if root is None or self.p.low_coeff() + self.q.low_coeff() * root != 0:
             return mp
         # cancellation: the conjugate cannot cancel too, so use the norm
         return self.norm().valuation() - mp
@@ -237,11 +239,10 @@ class QuadExtElem:
         R2 = o.q * o.q * o.ctx.D
         if R1 != R2:
             return False
-        lt1 = self.q.low_coeff() * self.ctx.branch_lc
-        lt2 = o.q.low_coeff() * o.ctx.branch_lc
-        if lt1.s != lt2.s:
+        ratio = sqrt_fraction(self.ctx.c / o.ctx.c)
+        if ratio is None:
             raise SurdClassMismatch("equal squares with distinct surd classes")
-        return lt1 == lt2
+        return self.q.low_coeff() * ratio == o.q.low_coeff()
 
     def __eq__(self, other):
         return self.equals(other)

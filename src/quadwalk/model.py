@@ -5,7 +5,10 @@ boundary (Boltzmann) weights a, b > 0.  Internally all algebra uses
 A = 1 - 1/a and B = 1 - 1/b.  The kernel K(x, y) = xy(1 - t S(x, y)),
 with S the weighted step Laurent polynomial, is written term by term:
 xy, then -d_v t x^(i+1) y^(j+1) for each step v = (i, j); S is not
-stored.  The supports always contain (1,-1) and (-1,1):
+stored.  gamma1 = A/x - t d_{1,-1}/y and gamma2 = B/y - t d_{-1,1}/x are
+defined once, by gamma1_xy and gamma2_xy; the boundary blocks of the
+kernel equation and the classifier's x gamma1 and y gamma2 are their
+monomial shifts.  The supports always contain (1,-1) and (-1,1):
 
     S1 = {(1,-1), (-1,1), (0,1)}
     S2 = S1 + {(1,0)}
@@ -20,7 +23,7 @@ import json
 from fractions import Fraction
 
 from .errors import InvalidSupport, ModelFormatError, NonPositiveWeight
-from .exactalg import Poly, XYPoly, rat_from_string, rat_to_string
+from .exactalg import Poly, TooManyDigits, XYPoly, parse_int, rat_from_string, rat_to_string
 
 ALL_STEPS = ((1, -1), (-1, 1), (1, 0), (0, 1), (1, 1))
 _ZERO = Fraction(0)
@@ -96,6 +99,7 @@ class Model:
         return XYPoly({(-1, 0): Poly.const(self.A), (0, -1): -t.scale(self.d(1, -1))})
 
     def gamma2_xy(self) -> XYPoly:
+        """gamma_2 = B/y - t d_{-1,1}/x, the mirror of gamma_1."""
         t = Poly.gen("t")
         return XYPoly({(0, -1): Poly.const(self.B), (-1, 0): -t.scale(self.d(-1, 1))})
 
@@ -168,11 +172,8 @@ def functional_equation_coeffs(model: Model):
     with all fractions cleared (x^2 y gamma1 = A x y - t d_{1,-1} x^2 and
     symmetrically for gamma2).
     """
-    t = Poly.gen("t")
     omega_xy = XYPoly.monomial(Poly.const(model.omega), 1, 1)
-    c1 = XYPoly({(1, 1): Poly.const(model.A), (2, 0): -t.scale(model.d(1, -1))})
-    c2 = XYPoly({(1, 1): Poly.const(model.B), (0, 2): -t.scale(model.d(-1, 1))})
-    return model.K, omega_xy, c1, c2
+    return model.K, omega_xy, model.gamma1_xy().shift(2, 1), model.gamma2_xy().shift(1, 2)
 
 
 # -- JSON wire format --------------------------------------------------
@@ -189,9 +190,11 @@ def model_from_json(text: str) -> Model:
     anywhere are rejected.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"not valid JSON: {e}") from None
+    except TooManyDigits as e:
+        raise ModelFormatError(str(e)) from None
     if not isinstance(obj, dict):
         raise ModelFormatError("model document must be a JSON object")
     unknown = set(obj) - {"stepset", "weights", "a", "b"}
@@ -224,6 +227,8 @@ def _parse_rat(val, where) -> Fraction:
     if isinstance(val, str):
         try:
             return rat_from_string(val)
+        except TooManyDigits as e:
+            raise ModelFormatError(f"{where}: {e}") from None
         except (ValueError, ZeroDivisionError):
             pass
     raise ModelFormatError(f"{where}: expected 'p/q', an integer string or an integer, "

@@ -32,7 +32,6 @@ from .curve import (
 from .errors import (
     OffCurveInput,
     OrbitRegimeNotReached,
-    RegimeNotApplicable,
     TableCellMismatch,
 )
 from .exactalg import INF
@@ -45,9 +44,6 @@ class Bivaluation:
     __slots__ = ("vx", "vy")
     def __init__(self, vx, vy):
         self.vx, self.vy = vx, vy  # each a Fraction or INF
-
-    def as_tuple(self):
-        return (self.vx, self.vy)
 
     def __eq__(self, other):
         if not isinstance(other, Bivaluation):
@@ -75,29 +71,13 @@ def bivaluation(pt: CurvePoint) -> Bivaluation:
     return Bivaluation(pt.x1.valuation(), pt.y1.valuation())
 
 
-def step_valuation_forward(v: Bivaluation) -> Bivaluation:
-    """One sigma step on valuations alone, valid when both half-steps
-    keep the controlling coordinate strictly negative.
-
-    iota1 sends (i, j) to (i, 2i - j) when i < 0; iota2 then needs the
-    new second component negative and sends it to (2(2i-j) - i, 2i - j).
-    """
-    i, j = v.vx, v.vy
-    if i == INF or i >= 0:
-        raise RegimeNotApplicable(f"first component of {v} is not negative")
-    j2 = 2 * i - j if j != INF else INF
-    if j2 == INF or j2 >= 0:
-        raise RegimeNotApplicable("iota2 component after iota1 is not negative")
-    return Bivaluation(2 * j2 - i, j2)
-
-
 class OrbitProfile:
     """Explicit orbit points covering [bwd_start, fwd_start] (grown on
     demand) plus certified affine valuation tails beyond both ends."""
 
-    __slots__ = ("base", "window", "points", "valuations", "fwd_start", "bwd_start")
-    def __init__(self, base, window, points, valuations, fwd_start, bwd_start):
-        self.base, self.window = base, window
+    __slots__ = ("base", "points", "valuations", "fwd_start", "bwd_start")
+    def __init__(self, base, points, valuations, fwd_start, bwd_start):
+        self.base = base
         self.points, self.valuations = points, valuations  # n -> CurvePoint, n -> Bivaluation
         self.fwd_start = fwd_start  # first index with i < j < 0
         self.bwd_start = bwd_start  # first index (negative direction) with j < i < 0
@@ -112,20 +92,6 @@ class OrbitProfile:
             self.points[lo - 1] = apply_sigma_inverse(model, self.points[lo], check=False)
             lo -= 1
         return self.points[n]
-
-    def valuation_at(self, n: int) -> Bivaluation:
-        if n in self.valuations:
-            return self.valuations[n]
-        # the explicit range covers [bwd_start, fwd_start], so anything
-        # else falls in a certified tail
-        if n > self.fwd_start:
-            start, v0 = self.fwd_start, self.valuations[self.fwd_start]
-            k = n - start
-        else:
-            start, v0 = self.bwd_start, self.valuations[self.bwd_start]
-            k = start - n
-        d = abs(v0.vx - v0.vy)
-        return Bivaluation(v0.vx - 2 * d * k, v0.vy - 2 * d * k)
 
     def tail_candidates(self, target: Bivaluation):
         """Explicit indices and tail solutions matching the bivaluation."""
@@ -183,8 +149,7 @@ def orbit_profile(model: Model, pt: CurvePoint) -> OrbitProfile:
                 bwd = -n
         if fwd is not None and bwd is not None:
             return OrbitProfile(
-                base=pt, window=max(fwd, -bwd), points=points,
-                valuations=vals, fwd_start=fwd, bwd_start=bwd,
+                base=pt, points=points, valuations=vals, fwd_start=fwd, bwd_start=bwd,
             )
     raise OrbitRegimeNotReached(MAX_WINDOW)
 

@@ -12,7 +12,16 @@ as a division in the quadratic extension, the form the Q(t)-scalar map
 replaced.  kernel_by_poly_arithmetic builds K = xy(1 - t S) through
 XYPoly/Poly products, negation and subtraction from the step Laurent
 polynomial S, the form the term-by-term kernel replaced.
+
+The rest are oracles the package itself never needs: the involution in
+its product-of-roots form (iota1_quotient_form), the valuation dynamics
+of one sigma step (step_valuation_forward), the bivaluation an orbit
+profile certifies at any index (valuation_at), and a parser for the
+enumerator's JSON (series_from_json).
 """
+
+import json
+
 
 from quadwalk.curve import (
     CurvePoint,
@@ -24,9 +33,11 @@ from quadwalk.curve import (
     evaluate_xy,
     laurent_to_reciprocal,
 )
+from quadwalk.enumerator import SeriesTruncation
 from quadwalk.errors import OffCurveInput, UnsupportedDivisorInput
-from quadwalk.exactalg import Poly, RatFunc, XYPoly
+from quadwalk.exactalg import INF, Poly, QuadExtElem, RatFunc, XYPoly, rat_from_string
 from quadwalk.model import ALL_STEPS, Model
+from quadwalk.sigmadist import Bivaluation, OrbitProfile
 
 
 def kernel_by_poly_arithmetic(model):
@@ -46,6 +57,54 @@ def iota_by_field_division(model, pt, which):
         return CurvePoint(pt.x1, s - pt.y1)
     s = (pt.y1 - t * model.d(0, 1)) / (t * model.d(-1, 1))
     return CurvePoint(s - pt.x1, pt.y1)
+
+
+def iota1_quotient_form(model: Model, pt: CurvePoint) -> QuadExtElem:
+    """y1 image by the product-of-roots formula; needs y1 != 0."""
+    num = (
+        _as_elem(model.d(-1, 1)) * pt.x1 * pt.x1
+        + _as_elem(model.d(0, 1)) * pt.x1
+        + _as_elem(model.d(1, 1))
+    )
+    return num / (_as_elem(model.d(1, -1)) * pt.y1)
+
+
+def step_valuation_forward(v: Bivaluation) -> Bivaluation:
+    """One sigma step on valuations alone, valid when both half-steps
+    keep the controlling coordinate strictly negative; ValueError
+    otherwise.
+
+    iota1 sends (i, j) to (i, 2i - j) when i < 0; iota2 then needs the
+    new second component negative and sends it to (2(2i-j) - i, 2i - j).
+    """
+    i, j = v.vx, v.vy
+    if i == INF or i >= 0:
+        raise ValueError(f"first component of {v} is not negative")
+    j2 = 2 * i - j if j != INF else INF
+    if j2 == INF or j2 >= 0:
+        raise ValueError("iota2 component after iota1 is not negative")
+    return Bivaluation(2 * j2 - i, j2)
+
+
+def valuation_at(profile: OrbitProfile, n: int) -> Bivaluation:
+    """Bivaluation of sigma^n of the base point: explicit inside
+    [bwd_start, fwd_start], on a certified tail beyond it."""
+    if n in profile.valuations:
+        return profile.valuations[n]
+    if n > profile.fwd_start:
+        start, k = profile.fwd_start, n - profile.fwd_start
+    else:
+        start, k = profile.bwd_start, profile.bwd_start - n
+    v0 = profile.valuations[start]
+    d = abs(v0.vx - v0.vy)
+    return Bivaluation(v0.vx - 2 * d * k, v0.vy - 2 * d * k)
+
+
+def series_from_json(text: str) -> SeriesTruncation:
+    """Inverse of SeriesTruncation.to_json."""
+    terms = [{(int(i), int(j)): rat_from_string(c) for i, j, c in entries}
+             for entries in json.loads(text)]
+    return SeriesTruncation(order=len(terms) - 1, terms=terms)
 
 
 def _series_eval_xy(p: XYPoly, xs: list, ys: list, m: int):

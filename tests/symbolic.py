@@ -2,8 +2,9 @@
 
 An element p + q*w of a quadratic extension maps to p + q*sqrt(D) with t
 a positive symbol, so sympy's principal square root is the root whose
-leading coefficient is rho*sqrt(s) with rho > 0 (i*sqrt(|s|) for s < 0),
-the branch QuadExt selects.  sympy is a test dependency only.
+leading coefficient is the principal square root of the leading
+coefficient c of D (i*sqrt(-c) for c < 0), the branch QuadExt selects.
+sympy is a test dependency only.
 """
 
 from fractions import Fraction
@@ -31,9 +32,9 @@ def elem(e):
     return ratfunc(e.p) + ratfunc(e.q) * sympy.sqrt(ratfunc(e.ctx.D))
 
 
-def surd(c):
-    """A SqrtPair a + b*sqrt(s)."""
-    return rational(c.a) + rational(c.b) * sympy.sqrt(c.s)
+def surd(c: Fraction):
+    """The principal square root of a rational."""
+    return sympy.sqrt(rational(c))
 
 
 def series_terms(expr, below):

@@ -141,6 +141,7 @@ MODEL = object()  # stands for the path of the S3 model file
     ["phase-scan", "--model", MODEL, "--order", "-1"],
     ["phase-scan", "--model", MODEL, "--a-values", ",".join(str(k) for k in range(1, 18))],
     ["phase-scan", "--model", MODEL, "--b-values", ",".join(str(k) for k in range(1, 18))],
+    ["phase-scan", "--model", MODEL, "--a-values", "1," + "7" * 4400],
 ])
 def test_usage_error_exit_code(s3_file, argv, monkeypatch, capsys):
     # flags a subcommand does not read and bad or out-of-range flag
@@ -158,7 +159,7 @@ def test_usage_error_exit_code(s3_file, argv, monkeypatch, capsys):
         main([s3_file if a is MODEL else a for a in argv])
     assert exc.value.code == EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert "error:" in err and "Traceback" not in err and len(err) < 400
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--help"])
     assert exc.value.code == EXIT_OK
@@ -177,15 +178,15 @@ def test_phase_scan_grid_at_bound(s3_file, capsys):
 
 
 def test_surd_class_mismatch_exit_code(s3_file, monkeypatch, capsys):
-    # a branch whose leading coefficient is in the wrong square class
-    # surfaces from QuadExtElem.equals as a broken contract: exit 2
+    # a stored leading coefficient in the wrong square class surfaces
+    # from QuadExtElem.equals as a broken contract: exit 2
     from quadwalk import cli as cli_mod
-    from quadwalk.exactalg import Poly, QuadExt, QuadExtElem, RatFunc, SqrtPair
+    from quadwalk.exactalg import Poly, QuadExt, QuadExtElem, RatFunc
 
     def compares_tampered_branches(model):
         w1 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([4, 4]))))
         ctx = QuadExt(RatFunc(Poly([1, 1])))
-        ctx.branch_lc = SqrtPair(0, 1, 2)
+        ctx.c = F(2)
         return w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(2), ctx))
 
     monkeypatch.setattr(cli_mod.classifier, "classify", compares_tampered_branches)
@@ -203,6 +204,25 @@ def test_orbit_cap_exceeded_is_contract_violation(s3_file, monkeypatch, capsys):
     monkeypatch.setattr(sigmadist, "MAX_WINDOW", 0)
     assert main(["matrix", "--model", s3_file]) == EXIT_CONTRACT
     assert "verification failure" in capsys.readouterr().err
+
+
+def test_tall_weights_classify_quickly(tmp_path):
+    # weights near 10^20 make the radicands' leading coefficients huge;
+    # the square-root branch is read off them by exact rational square
+    # roots, with no integer factoring, so this takes well under a second
+    big = 10**20 + 7
+    p = tmp_path / "tall.json"
+    p.write_text(json.dumps({
+        "stepset": "S5", "a": "7/3", "b": "11/5",
+        "weights": {"1,-1": f"1/{big}", "-1,1": "3", "1,0": f"{big}/7", "0,1": "2", "1,1": "5/3"},
+    }))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadwalk.cli", "classify", "--model", str(p)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "NotDAlgebraic"
 
 
 def test_import_loads_no_dataclass_machinery():

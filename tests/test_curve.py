@@ -21,7 +21,6 @@ from quadwalk.curve import (
     curve_zeros,
     curve_equation,
     evaluate_xy,
-    iota1_quotient_form,
     laurent_to_reciprocal,
     on_curve,
 )
@@ -37,7 +36,7 @@ from quadwalk.exactalg import (
 from quadwalk.model import make_model
 from tests import symbolic
 from tests.conftest import SUPPORTS, random_model
-from tests.reference import iota_by_field_division, reference_divisor
+from tests.reference import iota1_quotient_form, iota_by_field_division, reference_divisor
 
 T = Poly.gen("t")
 
@@ -143,7 +142,7 @@ def _off_curve_variants(m, pt):
     y1) = -t (x1 - y1)((a - b)(x1 + y1) + c - e)."""
     t3 = QuadExtElem(RatFunc(T * T * T))
     moved = [CurvePoint(pt.x1 + t3, pt.y1), CurvePoint(pt.x1, pt.y1 * 2)]
-    if not pt.x1.is_rational():
+    if not pt.x1.q.is_zero():
         moved.append(CurvePoint(pt.x1.conjugate(), pt.y1))
     fiber = (pt, apply_iota1(m, pt, False), apply_iota2(m, pt, False))
     out = [q for q in moved if q not in fiber]
@@ -171,14 +170,14 @@ def test_on_curve_matches_reference(rng):
         m = random_model(tag, rng)
         s = critical_sets(m)
         pts = s.L1_minus + s.L1_plus + s.L2_minus[:2] + _mixed_points(m)
-        assert any(p.x1.is_rational() != p.y1.is_rational() for p in pts)
+        assert any(p.x1.q.is_zero() != p.y1.q.is_zero() for p in pts)
         off = [q for p in pts for q in _off_curve_variants(m, p)]
         # w^2 = -(b + e + f)/a gives C(1, w) = (1 - ct) w: only the
         # radical part is nonzero
         radicand = RatFunc.const(-(m.d(-1, 1) + m.d(0, 1) + m.d(1, 1)) / m.d(1, -1))
         off.append(CurvePoint(QuadExtElem(RatFunc.const(1)), QuadExtElem.sqrt(QuadExt(radicand))))
         pts += [_over_fractional_radicand(p) for p in pts
-                if not (p.x1.is_rational() and p.y1.is_rational())]
+                if not (p.x1.q.is_zero() and p.y1.q.is_zero())]
         for base in (s.L1_minus[0], s.L2_plus[2]):  # P1, P3
             fwd = bwd = base
             for _ in range(3):
@@ -278,7 +277,7 @@ def test_coordinate_expansion_satisfies_minimal_polynomial():
         for expr in (kernel, gamma):
             assert sympy.cancel(sympy.radsimp(expr)) == 0
     coord = pts[0].x1
-    assert not coord.is_rational()
+    assert not coord.q.is_zero()
     x = symbolic.elem(coord)
     trace, norm = symbolic.ratfunc(coord.p * 2), symbolic.ratfunc(coord.norm())
     assert symbolic.series_terms(x * x - trace * x + norm, 6) == {}
@@ -297,9 +296,9 @@ def test_ramified_discriminant_coordinates():
     assert terms[1].is_rational and terms[2].is_rational
     # the t^(3/2) coefficient lies in Q*i*sqrt(2) and is the one the
     # selected branch predicts
-    branch = p1.x1.q.low_coeff() * p1.x1.ctx.branch_lc
-    assert branch.a == 0 and branch.s == -2
-    assert sympy.simplify(terms[sympy.Rational(3, 2)] - symbolic.surd(branch)) == 0
+    branch = symbolic.rational(p1.x1.q.low_coeff()) * symbolic.surd(p1.x1.ctx.c)
+    assert (branch / (sympy.I * sympy.sqrt(2))).is_rational
+    assert sympy.simplify(terms[sympy.Rational(3, 2)] - branch) == 0
     conj = symbolic.series_terms(symbolic.elem(p2.x1), 3)
     assert conj == {e: (c if e.is_integer else -c) for e, c in terms.items()}
 
@@ -336,7 +335,7 @@ def test_involutions_match_field_division(rng):
                 fwd = apply_sigma(m, fwd, check=False)
                 bwd = apply_sigma_inverse(m, bwd, check=False)
                 pts += [fwd, bwd]
-        assert any(not p.x1.is_rational() for p in pts) or tag in ("S1", "S2")
+        assert any(not p.x1.q.is_zero() for p in pts) or tag in ("S1", "S2")
         for p in pts:
             for which, iota in ((1, apply_iota1), (2, apply_iota2)):
                 got, ref = iota(m, p, False), iota_by_field_division(m, p, which)

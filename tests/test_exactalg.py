@@ -16,7 +16,6 @@ from quadwalk.exactalg import (
     QuadExt,
     QuadExtElem,
     RatFunc,
-    SqrtPair,
     XYPoly,
     expand_ratfunc,
     poly_is_square,
@@ -155,7 +154,7 @@ def test_valuation_is_additive(an, ad, bn, bd):
 def test_puiseux_binomial():
     # the selected root of 1 + t is 1 + t/2 - t^2/8 + ...
     w = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([1, 1]))))
-    assert w.ctx.half_val == 0 and w.ctx.branch_lc == SqrtPair(1)
+    assert w.ctx.half_val == 0 and w.ctx.c == 1
     assert symbolic.series_terms(symbolic.elem(w), 3) == {
         0: 1, 1: sympy.Rational(1, 2), 2: sympy.Rational(-1, 8)}
     assert (w - QuadExtElem(RatFunc(Poly([1, F(1, 2)])))).valuation() == 2
@@ -172,7 +171,7 @@ def test_puiseux_sqrt_against_square_oracle():
     # expands as t - 2 t^3 - 2 t^5 - ...
     D = RatFunc(Poly([0, 0, 1, 0, -4]))
     w = QuadExtElem.sqrt(QuadExt(D))
-    assert w.ctx.half_val == 1 and w.ctx.branch_lc == SqrtPair(1)
+    assert w.ctx.half_val == 1 and w.ctx.c == 1
     terms = symbolic.series_terms(symbolic.elem(w), 6)
     assert terms == {1: 1, 3: -2, 5: -2}
     assert w.valuation() == 1 and (w - QuadExtElem(RatFunc(T))).valuation() == 3
@@ -222,13 +221,13 @@ def _sympy_valuation_check(e):
     v = e.valuation()
     terms = symbolic.series_terms(symbolic.elem(e), math.floor(v) + 2)
     assert min(terms) == v, (e, terms)
-    lead = SqrtPair(0)
+    lead = sympy.Integer(0)
     if not e.p.is_zero() and e.p.valuation() == v:
-        lead = lead + SqrtPair(e.p.low_coeff())
+        lead += symbolic.rational(e.p.low_coeff())
     if not e.q.is_zero() and e.q.valuation() + e.ctx.half_val == v:
-        lead = lead + e.q.low_coeff() * e.ctx.branch_lc
-    if not lead.is_zero():
-        assert sympy.simplify(terms[v] - symbolic.surd(lead)) == 0, (e, terms)
+        lead += symbolic.rational(e.q.low_coeff()) * symbolic.surd(e.ctx.c)
+    if lead != 0:
+        assert sympy.simplify(terms[v] - lead) == 0, (e, terms)
 
 
 def test_valuation_matches_sympy_series():
@@ -240,9 +239,13 @@ def test_valuation_matches_sympy_series():
         coords += [c for p in critical_points(m) for c in (p.x1, p.y1)]
     w = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([1, 1]))))
     cancelling = QuadExtElem(RatFunc.const(-1)) + w  # -1 + sqrt(1 + t)
-    for e in coords + [cancelling]:
+    # leading coefficient the square of a 20-digit prime: -p + sqrt(p^2 (1 + t))
+    p = 10**19 + 51
+    wp = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([p * p, p * p]))))
+    tall = QuadExtElem(RatFunc.const(-p)) + wp
+    for e in coords + [cancelling, tall]:
         _sympy_valuation_check(e)
-    assert cancelling.valuation() == 1
+    assert cancelling.valuation() == 1 and tall.valuation() == 1
 
 
 # no shrink phase: shrinking through sympy series made a failure cost
@@ -262,21 +265,23 @@ def test_valuation_matches_sympy_series_random(qn, rn, dn, deep):
 
 
 def test_quadext_equality_across_radicands():
-    # sqrt(4(1+t)) over one context equals 2*sqrt(1+t) over another
-    w1 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([4, 4]))))
-    w2 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([1, 1]))))
-    assert w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(2), w2.ctx))
-    assert not w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(-2), w2.ctx))
-    assert not w1.equals(w2)
+    # sqrt(4(1+t)) over one context equals 2*sqrt(1+t) over another, and
+    # sqrt(-4(1+t)) = 2i sqrt(1+t) equals 2*sqrt(-(1+t))
+    for sign in (1, -1):
+        w1 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([4 * sign, 4 * sign]))))
+        w2 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([sign, sign]))))
+        assert w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(2), w2.ctx))
+        assert not w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(-2), w2.ctx))
+        assert not w1.equals(w2)
 
 
 def test_surd_class_mismatch_is_contract_violation():
-    # sqrt(4(1+t)) = 2 sqrt(1+t); a branch of sqrt(1+t) claimed to lead
-    # with sqrt(2) cannot be a square root of 1 + t: a broken contract,
-    # not an AssertionError
+    # sqrt(4(1+t)) = 2 sqrt(1+t); a context of 1 + t that claims the
+    # leading coefficient 2 would lead its root with sqrt(2), which no
+    # square root of 1 + t does: a broken contract, not an AssertionError
     w1 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([4, 4]))))
     ctx = QuadExt(RatFunc(Poly([1, 1])))
-    ctx.branch_lc = SqrtPair(0, 1, 2)
+    ctx.c = F(2)
     with pytest.raises(SurdClassMismatch) as exc:
         w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(2), ctx))
     assert isinstance(exc.value, ContractViolation)
@@ -286,22 +291,15 @@ def test_root_selector_consistency():
     # a square radicand has no extension: its roots are rational
     with pytest.raises(ValueError):
         QuadExt(RatFunc(Poly([0, 0, 9])))
-    # the selected branch has leading coefficient rho*sqrt(s), rho > 0
-    for lc, branch in ((2, SqrtPair(0, 1, 2)), (-2, SqrtPair(0, 1, -2)),
-                       (F(-9, 2), SqrtPair(0, F(3, 2), -2))):
+    # the selected branch leads with the principal square root of the
+    # radicand's leading coefficient c
+    sqrt2, i = sympy.sqrt(2), sympy.I
+    for lc, branch in ((2, sqrt2), (-2, i * sqrt2), (F(-9, 2), sympy.Rational(3, 2) * i * sqrt2)):
         ctx = QuadExt(RatFunc(Poly([0, 0, lc])))
-        assert ctx.half_val == 1 and ctx.branch_lc == branch
+        assert ctx.half_val == 1 and ctx.c == lc and symbolic.surd(ctx.c) == branch
         w = QuadExtElem.sqrt(ctx)
-        assert symbolic.series_terms(symbolic.elem(w), 2) == {1: symbolic.surd(branch)}
-        assert not w.is_rational() and w != -w
-
-
-def test_sqrtpair_field_ops():
-    a = SqrtPair(F(1, 2), F(3), 5)
-    b = SqrtPair(F(2), F(-1), 5)
-    assert a * b == SqrtPair(F(1) - 15, F(11, 2), 5)
-    assert SqrtPair(0, 2, 3) * SqrtPair(0, 1, 3) == SqrtPair(6)
-    assert SqrtPair(0, 1, 6) * SqrtPair(0, 1, 10) == SqrtPair(0, 2, 15)
+        assert symbolic.series_terms(symbolic.elem(w), 2) == {1: branch}
+        assert not w.q.is_zero() and w != -w
 
 
 # -- fast paths with a rational operand ----------------------------------

@@ -118,11 +118,18 @@ def test_json_round_trip():
         'not json at all',
         '{"stepset": "S1", "weights": {"1,-1": true, "-1,1": "1", "0,1": "1"}, "a": "1", "b": "1"}',
         '{"stepset": ["S1"], "weights": {}, "a": "1", "b": "1"}',
+        # past int()'s digit limit, as a string and as a JSON integer
+        pytest.param('{"stepset": "S1", "weights": {"1,-1": "1", "-1,1": "1", "0,1": "%s"}, '
+                     '"a": "1", "b": "1"}' % ("7" * 4400), id="too-many-digits-string"),
+        pytest.param('{"stepset": "S1", "weights": {"1,-1": "1", "-1,1": "1", "0,1": 1}, '
+                     '"a": %s, "b": "1"}' % ("7" * 4400), id="too-many-digits-integer"),
     ],
 )
 def test_json_rejects_malformed(bad):
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError) as exc:
         model_from_json(bad)
+    assert len(str(exc.value)) < 200
+    assert ("too many digits" in str(exc.value)) == (len(bad) > 4300)
 
 
 def _tall_model(tag, rng):

@@ -14,7 +14,7 @@ from quadwalk.curve import (
     critical_points,
     critical_sets,
 )
-from quadwalk.errors import ContractViolation, RegimeNotApplicable
+from quadwalk.errors import ContractViolation
 from quadwalk.exactalg import INF, QuadExtElem, RatFunc
 from quadwalk.model import make_model
 from quadwalk.sigmadist import (
@@ -23,9 +23,9 @@ from quadwalk.sigmadist import (
     build_matrices,
     orbit_profile,
     sigma_distance,
-    step_valuation_forward,
 )
 from tests.conftest import SUPPORTS, random_model
+from tests.reference import step_valuation_forward, valuation_at
 
 
 def test_bivaluation_value_semantics():
@@ -38,20 +38,20 @@ def test_bivaluation_value_semantics():
 def test_bivaluation_examples():
     m = make_model("S1", a=5, b=2)
     _, p2, _, _ = critical_points(m)
-    assert bivaluation(p2).as_tuple() == (2, 1)
+    assert bivaluation(p2) == Bivaluation(2, 1)
     m0 = make_model("S1", a=1, b=2)
     _, q2, _, _ = critical_points(m0)
-    assert bivaluation(q2).as_tuple() == (0, INF)
+    assert bivaluation(q2) == Bivaluation(0, INF)
     one = QuadExtElem(RatFunc.const(1))
-    assert bivaluation(CurvePoint(one, one)).as_tuple() == (0, 0)
+    assert bivaluation(CurvePoint(one, one)) == Bivaluation(0, 0)
 
 
 def test_step_valuation_forward():
-    assert step_valuation_forward(Bivaluation(-2, -1)).as_tuple() == (-4, -3)
-    assert step_valuation_forward(Bivaluation(-3, -2)).as_tuple() == (-5, -4)
-    with pytest.raises(RegimeNotApplicable):
+    assert step_valuation_forward(Bivaluation(-2, -1)) == Bivaluation(-4, -3)
+    assert step_valuation_forward(Bivaluation(-3, -2)) == Bivaluation(-5, -4)
+    with pytest.raises(ValueError):
         step_valuation_forward(Bivaluation(2, 1))
-    with pytest.raises(RegimeNotApplicable):
+    with pytest.raises(ValueError):
         step_valuation_forward(Bivaluation(-1, -3))  # iota2 side fails: 2i-j=1
 
 
@@ -60,8 +60,8 @@ def test_orbit_profile_paper_sequence():
     m = make_model("S1", a=5, b=3)
     _, p2, _, _ = critical_points(m)
     prof = orbit_profile(m, p2)
-    got = [prof.valuations[n].as_tuple() for n in range(-2, 3)]
-    assert got == [(-2, -3), (0, -1), (2, 1), (0, 1), (-2, -1)]
+    got = [prof.valuations[n] for n in range(-2, 3)]
+    assert got == [Bivaluation(*v) for v in ((-2, -3), (0, -1), (2, 1), (0, 1), (-2, -1))]
     assert prof.fwd_start <= 2 and prof.bwd_start >= -2
 
 
@@ -70,8 +70,8 @@ def test_orbit_profile_a_zero_sequence():
     m = make_model("S1", a=1, b=3)
     _, p2, _, _ = critical_points(m)
     prof = orbit_profile(m, p2)
-    got = [prof.valuations[n].as_tuple() for n in range(-3, 2)]
-    assert got == [(-2, -3), (0, -1), (INF, INF), (0, INF), (-2, -1)]
+    got = [prof.valuations[n] for n in range(-3, 2)]
+    assert got == [Bivaluation(*v) for v in ((-2, -3), (0, -1), (INF, INF), (0, INF), (-2, -1))]
 
 
 def test_orbit_tail_matches_lemma(s3_unit):
@@ -84,7 +84,7 @@ def test_orbit_tail_matches_lemma(s3_unit):
             nxt = apply_sigma(s3_unit, cur, check=False)
             try:
                 predicted = step_valuation_forward(v)
-            except RegimeNotApplicable:
+            except ValueError:
                 predicted = None
             if predicted is not None:
                 assert bivaluation(nxt) == predicted
@@ -99,7 +99,7 @@ def test_orbit_tail_strictly_decreasing():
     d = abs(v.vx - v.vy)
     assert d >= 1
     for k in (1, 2, 3):
-        further = prof.valuation_at(prof.window + k)
+        further = valuation_at(prof, max(prof.fwd_start, -prof.bwd_start) + k)
         assert further.vx < v.vx and further.vy < v.vy
 
 
