@@ -18,6 +18,12 @@ evidence it rests on.
 * Solvable cases produce closed forms for Q(x,0) and Q(0,y) that
   verify_closed_form expands as exact t-series and compares coefficient
   by coefficient against the walk enumeration.
+
+Each locus is one predicate that every stage calls: _on_rational_curve
+(S1/S2, A + B = 1), _in_algebraic_cell (S3, A = B = 1/2) and
+_on_edge_line (S1, B = 1/2); the edge case is the edge line off
+A = 1/2.  The y-side square certificate mirrors the x side (d1m1 <->
+dm11, d10 <-> d01, x <-> y), so one function serves both sides.
 """
 
 from __future__ import annotations
@@ -54,15 +60,32 @@ def _t() -> Poly:
     return Poly.gen("t")
 
 
-def _u_lambda(model: Model, lam: Fraction) -> XYPoly:
-    """(1 - lam) - t d10 x - t d1m1 x/y; defined for d11 = 0 supports."""
-    return XYPoly(
-        {
-            (0, 0): Poly.const(1 - lam),
-            (1, 0): -_t().scale(model.d(1, 0)),
-            (1, -1): -_t().scale(model.d(1, -1)),
-        }
-    )
+# -- the loci the verdict turns on, each stated once ----------------------
+
+
+def _on_rational_curve(model: Model) -> bool:  # a + b = ab
+    return model.tag in ("S1", "S2") and model.A + model.B == 1
+
+
+def _in_algebraic_cell(model: Model) -> bool:  # a = b = 2
+    return model.tag == "S3" and model.A == HALF and model.B == HALF
+
+
+def _on_edge_line(model: Model) -> bool:  # b = 2, where the edge identities hold
+    return model.tag == "S1" and model.B == HALF
+
+
+def _is_edge_case(model: Model) -> bool:
+    return _on_edge_line(model) and model.A != HALF
+
+
+def _u_lambda(model: Model, lam: Fraction, side: str = "x") -> XYPoly:
+    """(1 - lam) - t d10 x - t d1m1 x/y; defined for d11 = 0 supports.
+    The y side is its mirror, (1 - lam) - t d01 y - t dm11 y/x."""
+    t, d = _t(), model.d
+    lin, cross = (d(1, 0), d(1, -1)) if side == "x" else (d(0, 1), d(-1, 1))
+    u = XYPoly({(0, 0): Poly.const(1 - lam), (1, 0): -t.scale(lin), (1, -1): -t.scale(cross)})
+    return u if side == "x" else u.swap_xy()
 
 
 def _residual_check(model: Model, name: str, diff: XYPoly) -> dict:
@@ -79,104 +102,70 @@ def verify_identity_lemmas(model: Model, lambdas=None) -> list:
     """Verify, as exact congruences modulo the kernel, every splitting
     identity available on this support; returns the report entries."""
     report = []
-    t = _t()
-    d = model.d
     if model.d(1, 1) == 0:
         for lam in lambdas if lambdas is not None else (model.A, HALF):
             u = _u_lambda(model, lam)
+            rx, ry = _u_products(model, lam)
+            xg1, yg2 = model.gamma1_xy().shift(1, 0), model.gamma2_xy().shift(0, 1)
             # antisymmetric complement: u_lam = -(lam - t d01 y - t dm11 y/x)
-            mirror = XYPoly(
-                {
-                    (0, 0): Poly.const(lam),
-                    (0, 1): -t.scale(d(0, 1)),
-                    (-1, 1): -t.scale(d(-1, 1)),
-                }
-            )
-            report.append(
-                _residual_check(model, f"u-complement(lam={lam})", u + mirror)
-            )
-            lhs = (model.gamma1_xy().shift(1, 0) + (lam - model.A)) * u
-            rhs = XYPoly(
-                {
-                    (0, 0): Poly.const(lam * (1 - lam)) - (t * t).scale(d(1, -1) * d(-1, 1)),
-                    (1, 0): -(t.scale(lam * d(1, 0)) + (t * t).scale(d(1, -1) * d(0, 1))),
-                }
-            )
-            report.append(
-                _residual_check(model, f"u-x-product(lam={lam})", lhs - rhs)
-            )
-            lhs = -(model.gamma2_xy().shift(0, 1) + (1 - lam - model.B)) * u
-            rhs = XYPoly(
-                {
-                    (0, 0): Poly.const(lam * (1 - lam)) - (t * t).scale(d(1, -1) * d(-1, 1)),
-                    (0, 1): -(t.scale((1 - lam) * d(0, 1)) + (t * t).scale(d(-1, 1) * d(1, 0))),
-                }
-            )
-            report.append(
-                _residual_check(model, f"u-y-product(lam={lam})", lhs - rhs)
-            )
+            for name, diff in (("u-complement", u + _u_lambda(model, 1 - lam, "y")),
+                               ("u-x-product", (xg1 + (lam - model.A)) * u - rx),
+                               ("u-y-product", -(yg2 + (1 - lam - model.B)) * u - ry)):
+                report.append(_residual_check(model, f"{name}(lam={lam})", diff))
     if model.d(1, 0) == 0 and model.d(0, 1) == 0:
-        report += [_x_side_square(model), _y_side_square(model)]
-    if model.tag == "S1" and model.B == HALF:
+        report += [_side_square(model, "x"), _side_square(model, "y")]
+    if _on_edge_line(model):
         report += _edge_identities(model)
     return report
 
 
-def _x_side_square(model: Model) -> dict:
-    """(x gamma1 + 1/2 - A)^2 is the x-side square form on the curve."""
-    g = model.gamma1_xy().shift(1, 0) + (HALF - model.A)
-    return _residual_check(model, "x-side-square", g * g - _sq_form_x(model))
+def _u_products(model: Model, lam: Fraction) -> tuple:
+    """(x gamma1 + lam - A) u_lam and -(y gamma2 + 1 - lam - B) u_lam on
+    the curve; both are lam (1 - lam) - t^2 d1m1 dm11 less one term."""
+    t = _t()
+    d = model.d
+    const = Poly.const(lam * (1 - lam)) - (t * t).scale(d(1, -1) * d(-1, 1))
+    x_term = t.scale(lam * d(1, 0)) + (t * t).scale(d(1, -1) * d(0, 1))
+    y_term = t.scale((1 - lam) * d(0, 1)) + (t * t).scale(d(-1, 1) * d(1, 0))
+    return XYPoly({(0, 0): const, (1, 0): -x_term}), XYPoly({(0, 0): const, (0, 1): -y_term})
 
 
-def _y_side_square(model: Model) -> dict:
-    g = model.gamma2_xy().shift(0, 1) + (HALF - model.B)
-    return _residual_check(model, "y-side-square", g * g - _sq_form_y(model))
+def _side_square(model: Model, side: str) -> dict:
+    """(x gamma1 + 1/2 - A)^2 is the x-side square form on the curve;
+    the y side is its mirror, (y gamma2 + 1/2 - B)^2."""
+    if side == "x":
+        g = model.gamma1_xy().shift(1, 0) + (HALF - model.A)
+    else:
+        g = model.gamma2_xy().shift(0, 1) + (HALF - model.B)
+    return _residual_check(model, f"{side}-side-square", g * g - _sq_form(model, side))
 
 
 def _edge_identities(model: Model) -> list:
     """S1 with B = 1/2: with u = u_(1/2), u^2 is the x-side square form
-    and -y gamma2 u is the edge mu form on the curve."""
+    and -y gamma2 u is the edge mu form on the curve, which is the u-y
+    product at lam = 1/2 since d10 = 0."""
     u = _u_lambda(model, HALF)
     yg2 = model.gamma2_xy().shift(0, 1)
-    return [_residual_check(model, "edge-u-square", u * u - _sq_form_x(model)),
-            _residual_check(model, "edge-y-product", -(yg2 * u) - _edge_mu_form(model))]
+    mu = _u_products(model, HALF)[1]
+    return [_residual_check(model, "edge-u-square", u * u - _sq_form(model, "x")),
+            _residual_check(model, "edge-y-product", -(yg2 * u) - mu)]
 
 
-def _sq_form_x(model: Model) -> XYPoly:
+def _sq_form(model: Model, side: str) -> XYPoly:
     """1/4 - t^2 d1m1 dm11 - t^2 d1m1 d01 x - t^2 d1m1 d11 x^2: the
-    square of x*gamma1 on the curve when A = 1/2 and d10 = 0."""
+    square of x*gamma1 on the curve when A = 1/2 and d10 = 0.  The y
+    side is the same form with d1m1 <-> dm11 and d10 <-> d01, in y."""
     t2 = _t() * _t()
     d = model.d
-    return XYPoly(
+    lead, cross = (d(1, -1), d(0, 1)) if side == "x" else (d(-1, 1), d(1, 0))
+    form = XYPoly(
         {
             (0, 0): Poly.const(Fraction(1, 4)) - t2.scale(d(1, -1) * d(-1, 1)),
-            (1, 0): -t2.scale(d(1, -1) * d(0, 1)),
-            (2, 0): -t2.scale(d(1, -1) * d(1, 1)),
+            (1, 0): -t2.scale(lead * cross),
+            (2, 0): -t2.scale(lead * d(1, 1)),
         }
     )
-
-
-def _sq_form_y(model: Model) -> XYPoly:
-    t2 = _t() * _t()
-    d = model.d
-    return XYPoly(
-        {
-            (0, 0): Poly.const(Fraction(1, 4)) - t2.scale(d(1, -1) * d(-1, 1)),
-            (0, 1): -t2.scale(d(-1, 1) * d(1, 0)),
-            (0, 2): -t2.scale(d(-1, 1) * d(1, 1)),
-        }
-    )
-
-
-def _edge_mu_form(model: Model) -> XYPoly:
-    t = _t()
-    d = model.d
-    return XYPoly(
-        {
-            (0, 0): Poly.const(Fraction(1, 4)) - (t * t).scale(d(1, -1) * d(-1, 1)),
-            (0, 1): -t.scale(HALF * d(0, 1)),
-        }
-    )
+    return form if side == "x" else form.swap_xy()
 
 
 # -- homogeneous analysis -------------------------------------------------
@@ -217,24 +206,18 @@ def _split_gamma1(model: Model):
         # gamma1 = -t d1m1 / y is a function of y alone
         return 1, 1, [{"certificate": "gamma1-pure-y", "holds": True}]
     if model.A == HALF and model.d(1, 0) == 0:
-        _x_side_square(model)
-        if xpoly_is_square(_sq_form_x(model)):
-            raise TableCellMismatch("x-side square form is a square; sign cannot be -")
-        return -1, 1, [{"certificate": "x-side-square-nonsquare", "holds": True}]
+        return -1, 1, _square_split(model, "x")
     return None
 
 
 def _split_gamma2(model: Model):
     if model.B == 0:
         return 1, 1, [{"certificate": "gamma2-pure-x", "holds": True}]
-    if model.B == HALF and model.tag == "S3":
-        _y_side_square(model)
-        if xpoly_is_square(_sq_form_y(model)):
-            raise TableCellMismatch("y-side square form is a square; sign cannot be -")
-        return 1, -1, [{"certificate": "y-side-square-nonsquare", "holds": True}]
-    if model.B == HALF and model.tag == "S1":
+    if model.B == HALF and model.d(0, 1) == 0:
+        return 1, -1, _square_split(model, "y")
+    if _on_edge_line(model):
         _edge_identities(model)
-        if xpoly_is_square(_sq_form_x(model)):
+        if xpoly_is_square(_sq_form(model, "x")):
             raise TableCellMismatch("edge u^2 is a square; sign cannot be -")
         # gamma2 = (1/u) * (-mu/y): first factor iota1-odd, second pure y
         return -1, 1, [
@@ -242,6 +225,15 @@ def _split_gamma2(model: Model):
             {"certificate": "edge-y-product-identity", "holds": True},
         ]
     return None
+
+
+def _square_split(model: Model, side: str) -> list:
+    """The minus sign of the x (or y) side: its square identity holds and
+    its square form is not a square in Q(t)[x] (or Q(t)[y])."""
+    _side_square(model, side)
+    if xpoly_is_square(_sq_form(model, side)):
+        raise TableCellMismatch(f"{side}-side square form is a square; sign cannot be -")
+    return [{"certificate": f"{side}-side-square-nonsquare", "holds": True}]
 
 
 def _verified_bot_row(model: Model, M1: DistanceMatrix, row: int) -> HomStatus:
@@ -262,7 +254,7 @@ def homogeneous_analysis(model: Model, M1: DistanceMatrix) -> HomStatus:
     with its witness verified (bottom row against M1, signs against
     identity and non-squareness certificates)."""
     A, B = model.A, model.B
-    if model.tag in ("S1", "S2") and A + B == 1:
+    if _on_rational_curve(model):
         certs = verify_identity_lemmas(model, lambdas=(A,))
         return HomStatus(
             kind="no-solution",
@@ -277,22 +269,19 @@ def homogeneous_analysis(model: Model, M1: DistanceMatrix) -> HomStatus:
             return _verified_bot_row(model, M1, 4)
         if s1 is None:
             return _verified_bot_row(model, M1, 2)
-        eps1 = s1[0] * s2[0]
-        eps2 = s1[1] * s2[1]
+        signs = (s1[0] * s2[0], s1[1] * s2[1])
         certs = s1[2] + s2[2]
-        if (eps1, eps2) == (-1, -1):
+        if signs == (-1, -1):
             return HomStatus(
                 kind="solution",
-                signs=(eps1, eps2),
+                signs=signs,
                 solution=("1/gamma1", "-1/gamma2"),
                 certificates=certs,
             )
-        return HomStatus(kind="no-solution", signs=(eps1, eps2), certificates=certs)
-    if A + B == 1:
-        return _verified_bot_row(model, M1, 2)
-    if A not in (0, HALF):
-        return _verified_bot_row(model, M1, 2)
-    return _verified_bot_row(model, M1, 4)
+        return HomStatus(kind="no-solution", signs=signs, certificates=certs)
+    # off the split cells A + B = 1 forces A not in {0, 1/2} (B = 1 is
+    # impossible), so the rational locus needs no row of its own here
+    return _verified_bot_row(model, M1, 2 if A not in (0, HALF) else 4)
 
 
 # -- inhomogeneous analysis ----------------------------------------------
@@ -310,38 +299,28 @@ def inhomogeneous_analysis(model: Model, M1: DistanceMatrix, M2: DistanceMatrix)
     up with the expected per-support evidence.  Each condition is still
     checked on the computed matrix, never assumed.
     """
-    if model.tag == "S1" and model.B == HALF and model.A != HALF:
+    if _is_edge_case(model):
         return "edge-case"
-    order = ("m1", "m2") if model.tag in ("S2", "S3") else ("m2", "m1")
-    for which in order:
-        M = M1 if which == "m1" else M2
+    for M in (M1, M2) if model.tag in ("S2", "S3") else (M2, M1):
         if M.strictly_negative_or_bot():
-            return "h1-confined" if which == "m1" else "h2-confined"
+            return "h1-confined" if M is M1 else "h2-confined"
     return "inconclusive"
 
 
-def edge_case_checks(model: Model, M2: DistanceMatrix | None = None,
-                     sets: CriticalSets | None = None) -> dict:
+def edge_case_checks(model: Model, M2: DistanceMatrix, sets: CriticalSets) -> dict:
     """The two computational facts behind the S1, B = 1/2, A != 1/2
     verdict: (a) the unique nonnegative entry of M2 is the diagonal
     delta(i2 P4, P4) = 1; (b) u*gamma2 vanishes exactly at P4 and
     i2 P4.  Raises EvidenceFailed if either fails."""
-    if not (model.tag == "S1" and model.B == HALF and model.A != HALF):
+    if not _is_edge_case(model):
         raise ValueError("edge case checks require S1 with B = 1/2, A != 1/2")
-    if sets is None:
-        sets = critical_sets(model)
-    if M2 is None:
-        _, M2 = build_matrices(model, sets)
     nonneg = M2.nonnegative_entries()
     if len(nonneg) != 1 or nonneg[0][2] != 1 or nonneg[0][:2] not in ((2, 2), (3, 3)):
         raise EvidenceFailed(f"nonnegative M2 entries {nonneg} are not the single "
                              "diagonal +1 in the gamma2 block")
     k = nonneg[0][0]  # 2 or 3: which of P3/P4 carries the pole pair
-    p = sets.L2_plus[k]
-    i2p = sets.L2_minus[k]
-    u = _u_lambda(model, HALF)
-    zeros = curve_zeros(model, [u, model.gamma2_xy()])
-    expected = [p, i2p]
+    expected = [sets.L2_plus[k], sets.L2_minus[k]]
+    zeros = curve_zeros(model, [_u_lambda(model, HALF), model.gamma2_xy()])
     ok = (
         len(zeros) == 2
         and all(m == 1 for _, m in zeros)
@@ -511,9 +490,8 @@ def classify(model: Model) -> Classification:
     out.
     """
     trail = []
-    A, B = model.A, model.B
-    if model.tag in ("S1", "S2") and A + B == 1:
-        certs = verify_identity_lemmas(model, lambdas=(A,))
+    if _on_rational_curve(model):
+        certs = verify_identity_lemmas(model, lambdas=(model.A,))
         fx, fy = rational_closed_forms(model)
         trail.append({"rule": "interaction-weights-on-rational-curve (a+b=ab)",
                       "evidence": [c["identity"] for c in certs]})
@@ -526,7 +504,7 @@ def classify(model: Model) -> Classification:
 
     hom = homogeneous_analysis(model, M1)
     if hom.kind == "solution":
-        if not (model.tag == "S3" and A == HALF and B == HALF):
+        if not _in_algebraic_cell(model):
             raise CoverageGap(
                 "homogeneous solution outside the S3, A=B=1/2 cell"
             )
@@ -538,19 +516,16 @@ def classify(model: Model) -> Classification:
     trail.append({"rule": "homogeneous-no-solution", "evidence": hom.to_jsonable()})
 
     verdict = inhomogeneous_analysis(model, M1, M2)
-    if verdict == "h1-confined":
-        trail.append({"rule": "pole-confinement-M1",
-                      "evidence": {"matrix": M1.to_jsonable()}})
-        return Classification("NotDAlgebraic", None, trail)
-    if verdict == "h2-confined":
-        trail.append({"rule": "pole-confinement-M2",
-                      "evidence": {"matrix": M2.to_jsonable()}})
-        return Classification("NotDAlgebraic", None, trail)
     if verdict == "edge-case":
         checks = edge_case_checks(model, M2, sets)
         trail.append({"rule": "edge-case-S1-half", "evidence": checks})
-        return Classification("NotDAlgebraic", None, trail)
-    raise CoverageGap(f"no classification rule fired for {model!r}")
+    elif verdict in ("h1-confined", "h2-confined"):
+        M = M1 if verdict == "h1-confined" else M2
+        trail.append({"rule": f"pole-confinement-{M.which}",
+                      "evidence": {"matrix": M.to_jsonable()}})
+    else:
+        raise CoverageGap(f"no classification rule fired for {model!r}")
+    return Classification("NotDAlgebraic", None, trail)
 
 
 def verify_closed_form(model: Model, order: int = 12,

@@ -49,10 +49,12 @@ constant coefficient, say P = c1 y1 + c0(x1).  Its zero set is the graph
 y1 = -c0(x1)/c1, so the order of P at a common zero with the curve is
 the intersection number there, which is the multiplicity of the root
 x1 of the fiber polynomial C(x1, -c0(x1)/c1) (Fulton, Algebraic Curves,
-ch. 3).  That polynomial has degree <= 2: the order is 2 at the root of
-a vanishing discriminant, 1 otherwise and on a linear fiber.  The same
-holds for x1 itself on the fiber C(0, y1), and for y1.  No local series
-is expanded.
+ch. 3).  With C = C0 + C1 y1 + C2 y1^2 it is c1^2 C0 - c1 c0 C1 +
+c0^2 C2 over c1^2, built from XYPoly products and divided by c1^2 once
+per coefficient.  That polynomial has degree <= 2: the order is 2 at
+the root of a vanishing discriminant, 1 otherwise and on a linear
+fiber.  The same holds for x1 itself on the fiber C(0, y1), and for
+y1.  No local series is expanded.
 """
 
 from __future__ import annotations
@@ -423,51 +425,29 @@ def _linear_fiber_zeros(model: Model, P: XYPoly, swap: bool):
     if swap:
         P = P.swap_xy()
         C = C.swap_xy()
-    c1 = RatFunc(P.y_coeff(1).terms.get((0, 0), Poly.zero()))
-    c0_terms = {i: RatFunc(cc) for (i, _), cc in P.y_coeff(0).terms.items()}
-    # substitute y1 = -c0(x1)/c1 into C and collect a poly in x1
-    subs = {}
-    for (i, j), cc in C.terms.items():
-        base = RatFunc(cc)
-        # expand (-c0/c1)^j = sum over compositions; j <= 2 so direct
-        if j == 0:
-            parts = {0: base}
-        elif j == 1:
-            parts = {k: -base * v / c1 for k, v in c0_terms.items()}
-        else:  # j == 2
-            parts = {}
-            for k1, v1 in c0_terms.items():
-                for k2, v2 in c0_terms.items():
-                    key = k1 + k2
-                    add = base * v1 * v2 / (c1 * c1)
-                    parts[key] = parts.get(key, RatFunc.const(0)) + add
-        for k, v in parts.items():
-            subs[k + i] = subs.get(k + i, RatFunc.const(0)) + v
-    subs = {k: v for k, v in subs.items() if not v.is_zero()}
-    if not subs:
+    c1 = P.y_coeff(1).terms[(0, 0)]
+    c0 = P.y_coeff(0)
+    fiber = C.y_coeff(0) * (c1 * c1) - C.y_coeff(1) * c0 * c1 + C.y_coeff(2) * c0 * c0
+    if fiber.is_zero():
         raise UnsupportedDivisorInput("substituted fiber equation vanished")
-    deg = max(subs)
-    zero = RatFunc.const(0)
+    deg = fiber.deg_x()
     if deg > 2:
         raise UnsupportedDivisorInput("fiber equation has degree > 2")
+    a0, a1, a2 = (RatFunc(fiber.terms.get((i, 0), Poly.zero()), c1 * c1) for i in range(3))
     if deg == 2:
-        roots = _fiber_roots(subs.get(2, zero), subs.get(1, zero), subs.get(0, zero))
+        roots = _fiber_roots(a2, a1, a0)
     elif deg == 1:
-        roots = [(QuadExtElem(-subs.get(0, zero) / subs[1]), 1)]
+        roots = [(QuadExtElem(-a0 / a1), 1)]
     else:
         roots = []
     out = []
     for r, m in roots:
-        val = _negate_div(c0_terms, r, c1)
+        c0_r = _as_elem(0)
+        for (k, _), v in c0.terms.items():
+            c0_r = c0_r + _as_elem(v) * (r**k if k else _as_elem(1))
+        val = -(c0_r / _as_elem(c1))  # y1 = -c0(x1)/c1
         out.append((CurvePoint(val, r) if swap else CurvePoint(r, val), m))
     return out
-
-
-def _negate_div(c0_terms, x_val, c1):
-    acc = _as_elem(0)
-    for k, v in c0_terms.items():
-        acc = acc + _as_elem(v) * (x_val**k if k else _as_elem(1))
-    return -(acc / _as_elem(c1))
 
 
 def _coordinate_zeros(model: Model, which: str):

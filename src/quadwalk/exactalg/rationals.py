@@ -8,7 +8,8 @@ which is all QuadExt needs to decide questions about its selected root.
 Parsing refuses a string past the interpreter's limit on the digits of
 an int (sys.get_int_max_str_digits) with TooManyDigits, whose message
 quotes only a prefix of the string: such input comes from outside and
-may be thousands of digits long.
+may be thousands of digits long.  Results of valid input may pass it
+too, so rat_to_string formats those through decimal.Decimal.
 """
 
 from __future__ import annotations
@@ -47,8 +48,16 @@ def rat_from_string(s: str) -> Fraction:
 
 def rat_to_string(r: Fraction) -> str:
     if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+        return _int_to_string(r.numerator)
+    return f"{_int_to_string(r.numerator)}/{_int_to_string(r.denominator)}"
+
+
+def _int_to_string(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the digit limit; Decimal has none, same digits
+        from decimal import Decimal
+        return str(Decimal(n))
 
 
 def sqrt_fraction(r: Fraction):

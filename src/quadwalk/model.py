@@ -193,6 +193,8 @@ def model_from_json(text: str) -> Model:
         obj = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise ModelFormatError("not valid JSON: nested too deeply") from None
     except TooManyDigits as e:
         raise ModelFormatError(str(e)) from None
     if not isinstance(obj, dict):

@@ -11,6 +11,8 @@ from quadwalk.classifier import (
     Classification,
     ClosedForm,
     HomStatus,
+    _sq_form,
+    _u_lambda,
     algebraic_closed_forms,
     classify,
     edge_case_checks,
@@ -20,6 +22,7 @@ from quadwalk.classifier import (
     verify_closed_form,
     verify_identity_lemmas,
 )
+from quadwalk.curve import critical_sets
 from quadwalk.enumerator import axis_series_to_poly, enumerate_walks, specialize
 from quadwalk.errors import OracleMismatch
 from quadwalk.exactalg import Poly, RatFunc, TSeries, expand_ratfunc
@@ -45,6 +48,20 @@ def test_identity_lemmas_hold(rng):
         m = random_model("S1", rng, b=2)  # B = 1/2: edge identities
         names = [r["identity"] for r in verify_identity_lemmas(m)]
         assert "edge-u-square" in names and "edge-y-product" in names
+
+
+def test_y_side_forms_mirror_x_side():
+    # the y side is the x side of the x/y-mirrored model (d(i, j) read as
+    # d(j, i)) with x and y swapped; S2 and S5 are their own mirrors, and
+    # d10 != d01 here.  classify reaches the y square form only on S3,
+    # where d10 = d01 = 0, so this is where its d10 is checked.
+    swap = {"d1m1": "dm11", "dm11": "d1m1", "d10": "d01", "d01": "d10", "d11": "d11"}
+    for tag, w in (("S2", dict(d1m1=2, dm11=F(1, 3), d10=3, d01=F(5, 2))),
+                   ("S5", dict(d1m1=2, dm11=F(1, 3), d10=3, d01=F(5, 2), d11=7))):
+        m = make_model(tag, a=3, b=F(5, 4), **w)
+        mirror = make_model(tag, a=F(5, 4), b=3, **{swap[k]: v for k, v in w.items()})
+        assert _sq_form(m, "y") == _sq_form(mirror, "x").swap_xy()
+        assert _u_lambda(m, F(1, 3), "y") == _u_lambda(mirror, F(1, 3)).swap_xy()
 
 
 def _hom(tag, A, B):
@@ -115,10 +132,12 @@ def test_inhomogeneous_examples():
 
 def test_edge_case_checks():
     m = make_model("S1", a=5, b=2)
-    report = edge_case_checks(m)
+    sets = critical_sets(m)
+    _, M2 = build_matrices(m, sets)
+    report = edge_case_checks(m, M2, sets)
     assert report["matrix_fact"]["value"] == 1
-    with pytest.raises(ValueError):
-        edge_case_checks(make_model("S1", a=2, b=2))  # A = 1/2 refused
+    with pytest.raises(ValueError):  # A = 1/2 refused, whatever the matrix
+        edge_case_checks(make_model("S1", a=2, b=2), M2, sets)
 
 
 def test_classify_theorem_cases(s1_rational, s3_unit):

@@ -2,16 +2,21 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from quadwalk.classifier import classify
 from quadwalk.cli import EXIT_BAD_INPUT, EXIT_CONTRACT, EXIT_OK, main
+from quadwalk.enumerator import enumerate_walks
 from quadwalk.errors import CoverageGap
+from quadwalk.model import model_from_json
 
 S3_DOC = json.dumps(
     {
@@ -76,6 +81,51 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     p.write_text('{"stepset": "S1", "weights": {}, "a": "1", "b": "1", "junk": 0}')
     assert main(["classify", "--model", str(p)]) == EXIT_BAD_INPUT
     assert main(["classify", "--model", str(tmp_path / "absent.json")]) == EXIT_BAD_INPUT
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)  # past the JSON decoder's recursion depth
+    assert main(["classify", "--model", str(deep)]) == EXIT_BAD_INPUT
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def _rat_from_decimal(s):
+    """A "p/q" or "p" string of any length, parsed without int(str)."""
+    num, _, den = s.partition("/")
+    return F(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def test_enumerate_output_past_int_digit_limit(tmp_path, capsys):
+    # valid input whose order-20 coefficients have more digits than
+    # str(int) formats; every coefficient is printed exactly
+    doc = {"stepset": "S1", "weights": {"1,-1": "1", "-1,1": "1", "0,1": "1" * 300},
+           "a": "1", "b": "1"}
+    p = tmp_path / "tall.json"
+    p.write_text(json.dumps(doc))
+    assert main(["enumerate", "--model", str(p), "--order", "20"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    want = enumerate_walks(model_from_json(json.dumps(doc)), 20)
+    assert max(len(c) for term in out for _, _, c in term) > sys.get_int_max_str_digits()
+    for n, term in enumerate(out):
+        assert {(i, j): _rat_from_decimal(c) for i, j, c in term} == \
+            {k: c for k, c in want[n].items() if c != 0}
+
+
+def test_classify_output_past_int_digit_limit(tmp_path, capsys):
+    # a + b = ab with d1m1 dm11 near 10^6000: the closed-form ratio has
+    # coefficients past the digit limit, and its digits are exact
+    big = str(10**3000 + 1)
+    doc = {"stepset": "S1", "weights": {"1,-1": big, "-1,1": big, "0,1": "1"},
+           "a": "3", "b": "3/2"}
+    p = tmp_path / "tall.json"
+    p.write_text(json.dumps(doc))
+    assert main(["classify", "--model", str(p)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "Rational"
+    ratio = classify(model_from_json(json.dumps(doc))).closed_forms["Qx0"].ratio
+    printed = {int(Decimal(tok)) for tok in re.findall(r"\d+", out["closed_forms"]["Qx0"])}
+    coeffs = [c for c in ratio.num.coeffs + ratio.den.coeffs if c]
+    assert max(c.denominator for c in coeffs) > 10 ** sys.get_int_max_str_digits()
+    for c in coeffs:
+        assert abs(c.numerator) in printed and c.denominator in printed
 
 
 def test_enumerate_json(s3_file, capsys):

@@ -373,11 +373,14 @@ def _same_divisor(got, ref):
 
 def test_divisor_matches_point_order(rng):
     # orders read off root multiplicities against the implicit-series
-    # orders of the reference, zeros and poles alike
+    # orders of the reference, zeros and poles alike; the reference takes
+    # its candidate points from the same fiber roots, so each point is
+    # also checked to lie on the curve
     for m, functions in _divisor_cases(rng):
         memo = []
         for h in functions:
             got = curve_divisor(m, h)
+            assert all(on_curve(m, pt) for pt, _ in got), (m, h, got)
             assert _same_divisor(got, reference_divisor(m, h, memo)), (m, h, got)
 
 
