@@ -47,6 +47,7 @@ from .exactalg import (
     TSeries,
     XYPoly,
     expand_ratfunc,
+    rat_to_string,
     reduce_mod,
     xpoly_is_square,
 )
@@ -54,10 +55,6 @@ from .model import Model
 from .sigmadist import DistanceMatrix, build_matrices
 
 HALF = Fraction(1, 2)
-
-
-def _t() -> Poly:
-    return Poly.gen("t")
 
 
 # -- the loci the verdict turns on, each stated once ----------------------
@@ -82,7 +79,7 @@ def _is_edge_case(model: Model) -> bool:
 def _u_lambda(model: Model, lam: Fraction, side: str = "x") -> XYPoly:
     """(1 - lam) - t d10 x - t d1m1 x/y; defined for d11 = 0 supports.
     The y side is its mirror, (1 - lam) - t d01 y - t dm11 y/x."""
-    t, d = _t(), model.d
+    t, d = Poly.gen(), model.d
     lin, cross = (d(1, 0), d(1, -1)) if side == "x" else (d(0, 1), d(-1, 1))
     u = XYPoly({(0, 0): Poly.const(1 - lam), (1, 0): -t.scale(lin), (1, -1): -t.scale(cross)})
     return u if side == "x" else u.swap_xy()
@@ -122,7 +119,7 @@ def verify_identity_lemmas(model: Model, lambdas=None) -> list:
 def _u_products(model: Model, lam: Fraction) -> tuple:
     """(x gamma1 + lam - A) u_lam and -(y gamma2 + 1 - lam - B) u_lam on
     the curve; both are lam (1 - lam) - t^2 d1m1 dm11 less one term."""
-    t = _t()
+    t = Poly.gen()
     d = model.d
     const = Poly.const(lam * (1 - lam)) - (t * t).scale(d(1, -1) * d(-1, 1))
     x_term = t.scale(lam * d(1, 0)) + (t * t).scale(d(1, -1) * d(0, 1))
@@ -155,7 +152,7 @@ def _sq_form(model: Model, side: str) -> XYPoly:
     """1/4 - t^2 d1m1 dm11 - t^2 d1m1 d01 x - t^2 d1m1 d11 x^2: the
     square of x*gamma1 on the curve when A = 1/2 and d10 = 0.  The y
     side is the same form with d1m1 <-> dm11 and d10 <-> d01, in y."""
-    t2 = _t() * _t()
+    t2 = Poly.monomial(1, 2)
     d = model.d
     lead, cross = (d(1, -1), d(0, 1)) if side == "x" else (d(-1, 1), d(1, 0))
     form = XYPoly(
@@ -404,8 +401,7 @@ class ClosedForm:
                 _add_product(acc, P[j], Y[k + 1 - j], -q * (k + 1 - j) * (E[k] // E[k + 1 - j]))
             Y.append(acc)
             E.append(E[k] * q * (k + 1) * p0)
-        return TSeries([Poly([Fraction(c, e) for c in y], self.var) for y, e in zip(Y, E)],
-                       order, self.var)
+        return TSeries([Poly([Fraction(c, e) for c in y]) for y, e in zip(Y, E)], order)
 
 
 # Polynomials in t whose coefficients are integer polynomials in the
@@ -441,7 +437,7 @@ def _t_derivative(f: list) -> list:
 
 
 def rational_closed_forms(model: Model):
-    t = _t()
+    t = Poly.gen()
     a, b, d = model.a, model.b, model.d
     den = Poly.const(1) - (t * t).scale(a * b * d(1, -1) * d(-1, 1))
     rx = RatFunc(t.scale(a * d(1, 0)) + (t * t).scale(a * b * d(1, -1) * d(0, 1)), den)
@@ -450,7 +446,7 @@ def rational_closed_forms(model: Model):
 
 
 def algebraic_closed_forms(model: Model):
-    t = _t()
+    t = Poly.gen()
     d = model.d
     den = Poly.const(1) - (t * t).scale(4 * d(1, -1) * d(-1, 1))
     wx = RatFunc((t * t).scale(4 * d(1, 1) * d(1, -1)), den)
@@ -538,14 +534,19 @@ def verify_closed_form(model: Model, order: int = 12,
         raise ValueError("no closed forms to verify for this verdict")
     series = enumerate_walks(model, order)
     report = {"order": order, "verdict": classification.verdict, "checked": []}
-    for key, which, var in (("Qx0", "y=0", "x"), ("Q0y", "x=0", "y")):
-        form = classification.closed_forms[key]
-        expanded = form.expand(order)
-        dp = axis_series_to_poly(specialize(series, which), var)
+    for key, which in (("Qx0", "y=0"), ("Q0y", "x=0")):
+        expanded = classification.closed_forms[key].expand(order)
+        dp = axis_series_to_poly(specialize(series, which))
         for n in range(order + 1):
-            if expanded.coefficient(n) != dp[n]:
+            got, want = expanded.coefficient(n), dp[n]
+            if got != want:
                 raise OracleMismatch(
-                    n, f"({key}: closed form {expanded.coefficient(n)} vs walks {dp[n]})"
+                    n, f"({key}: closed form {_coeff_list(got)} vs walks {_coeff_list(want)})"
                 )
         report["checked"].append(key)
     return report
+
+
+def _coeff_list(p: Poly) -> str:
+    """Coefficients of p from degree 0 up, as [c0, c1, ...]."""
+    return "[" + ", ".join(rat_to_string(c) for c in p.coeffs) + "]"

@@ -98,13 +98,9 @@ class CurvePoint:
 
 
 def _as_elem(v) -> QuadExtElem:
-    if isinstance(v, QuadExtElem):
-        return v
-    if isinstance(v, (int, Fraction, Poly)):
-        return QuadExtElem(RatFunc(v) if isinstance(v, Poly) else RatFunc.const(v))
-    if isinstance(v, RatFunc):
-        return QuadExtElem(v)
-    raise TypeError(f"not a coordinate: {type(v).__name__}")
+    if not isinstance(v, (QuadExtElem, RatFunc, Poly, int, Fraction)):
+        raise TypeError(f"not a coordinate: {type(v).__name__}")
+    return v if isinstance(v, QuadExtElem) else QuadExtElem(v)
 
 
 def curve_equation(model: Model) -> XYPoly:
@@ -215,7 +211,7 @@ def apply_sigma_inverse(model: Model, pt: CurvePoint, check: bool = True) -> Cur
 
 
 def _discriminant_factors(model: Model):
-    t = Poly.gen("t")
+    t = Poly.gen()
     A = model.A
     f1 = Poly.const(model.d(1, -1))
     f2 = (t * t).scale(model.d(1, -1) * model.d(-1, 1)) + Poly.const(A * (A - 1))
@@ -272,7 +268,7 @@ def _gamma1_zeros(A, d1m1, dm11, d10, d01, d11):
     """The two zeros of gamma1 on the curve as (x1, y1) pairs.  Called
     with the weights mirrored (B, dm11, d1m1, d01, d10, d11) it gives the
     zeros of gamma2 as (y1, x1) pairs."""
-    t = Poly.gen("t")
+    t = Poly.gen()
     tt = t * t
     if A != 0:
         a2 = RatFunc(tt.scale(d1m1 * dm11) + Poly.const(A**2 - A))
@@ -337,7 +333,7 @@ def critical_sets(model: Model) -> CriticalSets:
 def laurent_to_reciprocal(h: XYPoly):
     """Rewrite h(x, y) in the chart x = 1/x1, y = 1/y1: returns (P, a, b)
     with h = P(x1, y1) / (x1^a y1^b)."""
-    flipped = XYPoly({(-i, -j): c for (i, j), c in h.terms.items()}, h.tvar)
+    flipped = XYPoly({(-i, -j): c for (i, j), c in h.terms.items()})
     return flipped.cleared()
 
 

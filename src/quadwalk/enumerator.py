@@ -103,13 +103,14 @@ def specialize(series: SeriesTruncation, which: str):
     return out
 
 
-def axis_series_to_poly(spec: list, var: str) -> list:
-    """Dict layers from specialize() as Poly coefficients per t-order."""
+def axis_series_to_poly(spec: list) -> list:
+    """Dict layers from specialize() as coefficient vectors in the
+    catalytic variable, one Poly per t-order."""
     out = []
     for layer in spec:
         n = max(layer, default=0)
         coeffs = [layer.get(k, Fraction(0)) for k in range(n + 1)]
-        out.append(Poly(coeffs, var))
+        out.append(Poly(coeffs))
     return out
 
 

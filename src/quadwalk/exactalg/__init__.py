@@ -1,7 +1,15 @@
-"""Exact arithmetic foundation: rationals, polynomials, rational
+"""Exact arithmetic foundation: rationals, polynomials and rational
 functions in t, quadratic extensions of Q(t) with exact valuations,
 truncated power series for the closed forms, and the bivariate helpers
 the curve and classifier layers build on.
+
+There is one indeterminate, t, and no value stores a variable name: a
+Poly is a polynomial in t, an XYPoly keys its Poly coefficients by the
+exponents of x and y, and the coefficients of a TSeries are coefficient
+vectors in the catalytic variable (x or y), which only the caller names.
+Every conversion into Q(t) goes through RatFunc(v), and every
+conversion into Q(t)(sqrt(D)) through QuadExtElem(v), for v an int, a
+Fraction, a Poly or (for QuadExtElem) a RatFunc.
 
 A quadratic extension pins its square root by the leading coefficient c
 of the radicand (the root leads with the principal square root of c),

@@ -1,4 +1,8 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the rationals, in t.
+
+Poly stores no variable name and always prints in t.  A caller that
+keeps a coefficient vector in a catalytic variable (x or y) in a Poly
+knows which variable it means; the Poly does not.
 
 Coefficients are Fractions stored from degree 0 up with the trailing
 (leading) zero coefficients stripped; the zero polynomial has an empty
@@ -9,37 +13,37 @@ so everything is schoolbook arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .rationals import INF, rat_to_string, sqrt_fraction
 
 
 class Poly:
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, var="t"):
+    def __init__(self, coeffs):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self.var = var
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, var="t"):
-        return cls((), var)
+    def zero(cls):
+        return cls(())
 
     @classmethod
-    def const(cls, c, var="t"):
-        return cls((c,), var)
+    def const(cls, c):
+        return cls((c,))
 
     @classmethod
-    def gen(cls, var="t"):
-        return cls((0, 1), var)
+    def gen(cls):
+        return cls((0, 1))
 
     @classmethod
-    def monomial(cls, c, k, var="t"):
-        return cls((0,) * k + (c,), var)
+    def monomial(cls, c, k):
+        return cls((0,) * k + (c,))
 
     # -- structure ----------------------------------------------------
 
@@ -81,29 +85,24 @@ class Poly:
 
     def scale(self, c):
         c = Fraction(c)
-        return Poly([x * c for x in self.coeffs], self.var)
+        return Poly([x * c for x in self.coeffs])
 
     # -- ring operations ----------------------------------------------
 
-    def _same_var(self, other):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch {self.var!r} vs {other.var!r}")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.var)
-        self._same_var(other)
+            other = Poly.const(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)], self.var)
+        return Poly([self[k] + other[k] for k in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.var)
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.var)
+            other = Poly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -112,9 +111,8 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._same_var(other)
         if self.is_zero() or other.is_zero():
-            return Poly.zero(self.var)
+            return Poly.zero()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -122,41 +120,28 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 if b != 0:
                     out[i + j] += a * b
-        return Poly(out, self.var)
+        return Poly(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.const(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, k):
-        """Multiply by var**k (k >= 0)."""
+        """Multiply by t**k (k >= 0)."""
         if self.is_zero():
             return self
-        return Poly((0,) * k + self.coeffs, self.var)
+        return Poly((0,) * k + self.coeffs)
 
     def divmod(self, other):
         """Exact euclidean division over the field of fractions."""
-        self._same_var(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = Poly.zero(self.var)
+        q = Poly.zero()
         r = self
         d = other.degree
         inv_lc = 1 / other.lc()
         while not r.is_zero() and r.degree >= d:
             k = r.degree - d
             c = r.lc() * inv_lc
-            mono = Poly.monomial(c, k, self.var)
+            mono = Poly.monomial(c, k)
             q = q + mono
             r = r - mono * other
         return q, r
@@ -170,7 +155,6 @@ class Poly:
     def gcd(self, other):
         """Monic gcd, computed by a primitive PRS over the integers to
         keep intermediate coefficients small."""
-        self._same_var(other)
         if self.is_zero():
             return other.monic()
         if other.is_zero():
@@ -182,19 +166,19 @@ class Poly:
         while b:
             r = _int_prem(a, b)
             a, b = b, _int_content_free(r)
-        return Poly([Fraction(c, a[-1]) for c in a], self.var)
+        return Poly([Fraction(c, a[-1]) for c in a])
 
     # -- comparisons & rendering --------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other, self.var)
+            other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash(self.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -214,7 +198,7 @@ class Poly:
                 term = rat_to_string(abs(c))
             else:
                 mag = "" if abs(c) == 1 else rat_to_string(abs(c)) + "*"
-                term = f"{mag}{self.var}" + (f"^{k}" if k > 1 else "")
+                term = f"{mag}t" + (f"^{k}" if k > 1 else "")
             if not parts:
                 parts.append(("-" if c < 0 else "") + term)
             else:
@@ -224,24 +208,12 @@ class Poly:
 
 def _int_primitive(coeffs):
     """Fraction coefficients as a primitive integer list."""
-    from math import gcd as igcd, lcm
-
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = igcd(g, c)
-    return [c // g for c in ints] if g > 1 else ints
+    den = lcm(*(c.denominator for c in coeffs))
+    return _int_content_free([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 def _int_content_free(coeffs):
-    from math import gcd as igcd
-
-    g = 0
-    for c in coeffs:
-        g = igcd(g, c)
+    g = gcd(*coeffs)
     return [c // g for c in coeffs] if g > 1 else coeffs
 
 
@@ -268,9 +240,9 @@ def _int_prem(a, b):
 def poly_is_square(p: Poly):
     """Decide whether p is the square of a polynomial over Q.
 
-    Returns (flag, witness); the witness q satisfies q*q == p when flag
-    is True.  The degree-2 case is settled by its discriminant, higher
-    even degrees by exact square-root extraction from the top.
+    Returns (flag, witness); the witness w satisfies w*w == p when flag
+    is True.  The square root is matched from the top coefficient down,
+    and the match is then checked by squaring it.
     """
     if p.is_zero():
         return True, p
@@ -280,27 +252,15 @@ def poly_is_square(p: Poly):
     lc_root = sqrt_fraction(p.lc())
     if lc_root is None:
         return False, None
-    if d == 0:
-        return True, Poly.const(lc_root, p.var)
-    if d == 2:
-        a, b, c = p[2], p[1], p[0]
-        if b * b - 4 * a * c != 0:
-            return False, None
-        # p = a*(x + b/(2a))^2 with a a rational square
-        w = Poly([b / (2 * lc_root), lc_root], p.var)
-        return True, w
-    # general even degree: match coefficients downwards, then verify
     h = d // 2
     q = [Fraction(0)] * (h + 1)
     q[h] = lc_root
     for k in range(h - 1, -1, -1):
         acc = Fraction(0)
         for i in range(k + 1, h):
-            j = k + h - i
-            if j <= h:
-                acc += q[i] * q[j]
+            acc += q[i] * q[k + h - i]
         q[k] = (p[k + h] - acc) / (2 * lc_root)
-    w = Poly(q, p.var)
+    w = Poly(q)
     if w * w == p:
         return True, w
     return False, None

@@ -53,7 +53,7 @@ class QuadExt:
     __slots__ = ("D", "half_val", "c")
 
     def __init__(self, D: RatFunc):
-        if isinstance(D, Poly):
+        if not isinstance(D, RatFunc):
             D = RatFunc(D)
         if D.is_zero():
             raise ValueError("zero radicand")
@@ -63,10 +63,6 @@ class QuadExt:
         self.D = D
         self.half_val = D.valuation() / 2
         self.c = D.low_coeff()  # the selected root leads with sqrt(c)
-
-    @property
-    def var(self):
-        return self.D.var
 
     def same_as(self, other: "QuadExt") -> bool:
         return self is other or self.D == other.D
@@ -84,13 +80,11 @@ class QuadExtElem:
 
     __slots__ = ("ctx", "p", "q")
 
-    def __init__(self, p, q=None, ctx: QuadExt | None = None):
-        if isinstance(p, (int, Fraction, Poly)):
-            p = RatFunc(p) if isinstance(p, Poly) else RatFunc.const(p)
-        if q is None:
-            q = RatFunc.const(0, p.var)
-        elif isinstance(q, (int, Fraction, Poly)):
-            q = RatFunc(q) if isinstance(q, Poly) else RatFunc.const(q, p.var)
+    def __init__(self, p, q=0, ctx: QuadExt | None = None):
+        if not isinstance(p, RatFunc):
+            p = RatFunc(p)
+        if not isinstance(q, RatFunc):
+            q = RatFunc(q)
         if ctx is None and not q.is_zero():
             raise ValueError("radical coefficient without a context")
         if ctx is not None and q.is_zero():
@@ -103,7 +97,7 @@ class QuadExtElem:
 
     @classmethod
     def sqrt(cls, ctx: QuadExt) -> "QuadExtElem":
-        return cls(RatFunc.const(0, ctx.var), RatFunc.const(1, ctx.var), ctx)
+        return cls(0, 1, ctx)
 
     def is_zero(self):
         return self.p.is_zero() and self.q.is_zero()
@@ -122,8 +116,7 @@ class QuadExtElem:
         if isinstance(other, QuadExtElem):
             return other
         if isinstance(other, (int, Fraction, Poly, RatFunc)):
-            return QuadExtElem(other if isinstance(other, RatFunc) else RatFunc(other)
-                               if isinstance(other, Poly) else RatFunc.const(other, self.p.var))
+            return QuadExtElem(other)
         return None
 
     # -- arithmetic ------------------------------------------------------
@@ -168,7 +161,7 @@ class QuadExtElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExtElem(RatFunc.const(1, self.p.var))
+        out = QuadExtElem(1)
         base = self
         while n:
             if n & 1:
@@ -176,9 +169,6 @@ class QuadExtElem:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self):
-        return QuadExtElem(self.p, -self.q, self.ctx)
 
     def norm(self) -> RatFunc:
         if self.ctx is None:

@@ -25,17 +25,17 @@ from .rationals import INF
 class RatFunc:
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, var="t"):
+    def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
-            num = Poly.const(num, var)
+            num = Poly.const(num)
         if den is None:
-            den = Poly.const(1, num.var)
+            den = Poly.const(1)
         elif isinstance(den, (int, Fraction)):
-            den = Poly.const(den, num.var)
+            den = Poly.const(den)
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero():
-            den = Poly.const(1, num.var)
+            den = Poly.const(1)
         else:
             g = num.gcd(den)
             if g.degree and g.degree > 0:
@@ -49,16 +49,8 @@ class RatFunc:
         self.den = den
 
     @classmethod
-    def const(cls, c, var="t"):
-        return cls(Poly.const(c, var))
-
-    @classmethod
-    def gen(cls, var="t"):
-        return cls(Poly.gen(var))
-
-    @property
-    def var(self):
-        return self.num.var
+    def const(cls, c):
+        return cls(Poly.const(c))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -68,10 +60,8 @@ class RatFunc:
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, Poly):
+        if isinstance(other, (int, Fraction, Poly)):
             return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(other, self.var)
         return None
 
     def __add__(self, other):
@@ -79,7 +69,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if o.is_zero() or self.is_zero():
-            self.num._same_var(o.num)
             return o if self.is_zero() else self
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
@@ -106,7 +95,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if o.is_zero() or self.is_zero():
-            self.num._same_var(o.num)
             return self if self.is_zero() else o
         return RatFunc(self.num * o.num, self.den * o.den)
 
@@ -126,11 +114,6 @@ class RatFunc:
     def __rtruediv__(self, other):
         o = self._coerce(other)
         return o * self.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return RatFunc(self.num**n, self.den**n)
 
     # -- valuation data -------------------------------------------------
 

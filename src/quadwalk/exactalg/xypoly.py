@@ -15,51 +15,46 @@ from .ratfunc import RatFunc, ratfunc_is_square
 
 
 class XYPoly:
-    __slots__ = ("terms", "tvar")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, tvar="t"):
+    def __init__(self, terms=None):
         clean = {}
         for key, c in (terms or {}).items():
             if isinstance(c, (int, Fraction)):
-                c = Poly.const(c, tvar)
+                c = Poly.const(c)
             if not c.is_zero():
                 clean[(int(key[0]), int(key[1]))] = c
         self.terms = clean
-        self.tvar = tvar
 
     @classmethod
-    def zero(cls, tvar="t"):
-        return cls({}, tvar)
-
-    @classmethod
-    def monomial(cls, c, i, j, tvar="t"):
-        return cls({(i, j): c}, tvar)
+    def monomial(cls, c, i, j):
+        return cls({(i, j): c})
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            other = XYPoly.monomial(other, 0, 0, self.tvar)
+            other = XYPoly.monomial(other, 0, 0)
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k)
             out[k] = c if s is None else s + c
-        return XYPoly(out, self.tvar)
+        return XYPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XYPoly({k: -c for k, c in self.terms.items()}, self.tvar)
+        return XYPoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            other = XYPoly.monomial(other, 0, 0, self.tvar)
+            other = XYPoly.monomial(other, 0, 0)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            other = XYPoly.monomial(other, 0, 0, self.tvar)
+            other = XYPoly.monomial(other, 0, 0)
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -67,7 +62,7 @@ class XYPoly:
                 p = c1 * c2
                 s = out.get(k)
                 out[k] = p if s is None else s + p
-        return XYPoly(out, self.tvar)
+        return XYPoly(out)
 
     __rmul__ = __mul__
 
@@ -76,11 +71,8 @@ class XYPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def shift(self, di, dj):
-        return XYPoly({(i + di, j + dj): c for (i, j), c in self.terms.items()}, self.tvar)
+        return XYPoly({(i + di, j + dj): c for (i, j), c in self.terms.items()})
 
     def cleared(self):
         """(P, a, b) with P = self * x^a y^b a true polynomial."""
@@ -98,13 +90,13 @@ class XYPoly:
 
     def y_coeff(self, j):
         """Coefficient of y^j as an XYPoly in x alone."""
-        return XYPoly({(i, 0): c for (i, jj), c in self.terms.items() if jj == j}, self.tvar)
+        return XYPoly({(i, 0): c for (i, jj), c in self.terms.items() if jj == j})
 
     def x_coeff(self, i):
-        return XYPoly({(0, j): c for (ii, j), c in self.terms.items() if ii == i}, self.tvar)
+        return XYPoly({(0, j): c for (ii, j), c in self.terms.items() if ii == i})
 
     def swap_xy(self):
-        return XYPoly({(j, i): c for (i, j), c in self.terms.items()}, self.tvar)
+        return XYPoly({(j, i): c for (i, j), c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -163,7 +155,7 @@ def xpoly_is_square(p: XYPoly):
     d = max(coeffs)
     if d % 2 == 1:
         return False
-    zero = RatFunc.const(0, p.tvar)
+    zero = RatFunc.const(0)
     if d == 0:
         return ratfunc_is_square(coeffs[0])[0]
     if d == 2:

@@ -95,12 +95,12 @@ class Model:
 
     def gamma1_xy(self) -> XYPoly:
         """gamma_1 = A/x - t d_{1,-1}/y as a Laurent polynomial."""
-        t = Poly.gen("t")
+        t = Poly.gen()
         return XYPoly({(-1, 0): Poly.const(self.A), (0, -1): -t.scale(self.d(1, -1))})
 
     def gamma2_xy(self) -> XYPoly:
         """gamma_2 = B/y - t d_{-1,1}/x, the mirror of gamma_1."""
-        t = Poly.gen("t")
+        t = Poly.gen()
         return XYPoly({(0, -1): Poly.const(self.B), (-1, 0): -t.scale(self.d(-1, 1))})
 
     def __repr__(self):
@@ -147,7 +147,7 @@ def build_model(stepset, weighting) -> Model:
     return Model(stepset, w)
 
 
-def make_model(tag, d=None, a=1, b=1, **step_weights) -> Model:
+def make_model(tag, a=1, b=1, **step_weights) -> Model:
     """Convenience builder: unit weights on the support by default.
 
     Step weights may be overridden per step with keywords d11, d1m1,
@@ -156,8 +156,6 @@ def make_model(tag, d=None, a=1, b=1, **step_weights) -> Model:
     names = {"d1m1": (1, -1), "dm11": (-1, 1), "d10": (1, 0), "d01": (0, 1), "d11": (1, 1)}
     ss = StepSet(tag)
     weights = {s: Fraction(1) for s in ss.steps}
-    if d is not None:
-        weights = {s: Fraction(d) for s in ss.steps}
     for name, val in step_weights.items():
         step = names[name]
         weights[step] = Fraction(val)

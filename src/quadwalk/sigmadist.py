@@ -191,12 +191,6 @@ class DistanceMatrix:
                     out.append((i, j, e))
         return out
 
-    def transpose_equal(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(4) for j in range(4)
-        )
-
     def to_jsonable(self):
         return {
             "which": self.which,

@@ -13,9 +13,15 @@ WEIGHT_POOL = [
 ]
 
 
+def draw_weights(stepset, rng):
+    """One WEIGHT_POOL draw per step, in sorted step order, so that a seed
+    pins the weights whatever order the support's frozenset iterates in."""
+    return {s: rng.choice(WEIGHT_POOL) for s in sorted(stepset.steps)}
+
+
 def random_model(tag, rng, a=None, b=None):
     ss = StepSet(tag)
-    d = {s: rng.choice(WEIGHT_POOL) for s in ss.steps}
+    d = draw_weights(ss, rng)
     a = rng.choice(WEIGHT_POOL) if a is None else Fraction(a)
     b = rng.choice(WEIGHT_POOL) if b is None else Fraction(b)
     return build_model(ss, Weighting(d=d, a=a, b=b))

@@ -43,7 +43,7 @@ from quadwalk.sigmadist import Bivaluation, OrbitProfile
 def kernel_by_poly_arithmetic(model):
     """xy - xy t S, with S = sum of d_v x^i y^j over the steps v = (i, j)."""
     S = XYPoly({(i, j): Poly.const(model.d(i, j)) for (i, j) in ALL_STEPS if model.d(i, j)})
-    t = Poly.gen("t")
+    t = Poly.gen()
     xy = XYPoly.monomial(1, 1, 1)
     return xy - XYPoly({(i + 1, j + 1): c * t for (i, j), c in S.terms.items()})
 
@@ -51,7 +51,7 @@ def kernel_by_poly_arithmetic(model):
 def iota_by_field_division(model, pt, which):
     """iota1 (which = 1) or iota2 (which = 2) of pt, dividing z - t c
     by t d as field elements."""
-    t = RatFunc.gen()
+    t = RatFunc(Poly.gen())
     if which == 1:
         s = (pt.x1 - t * model.d(1, 0)) / (t * model.d(1, -1))
         return CurvePoint(pt.x1, s - pt.y1)
@@ -186,7 +186,7 @@ def _partial(p: XYPoly, var: str) -> XYPoly:
             out[(i - 1, j)] = c.scale(i)
         elif var == "y" and j > 0:
             out[(i, j - 1)] = c.scale(j)
-    return XYPoly(out, p.tvar)
+    return XYPoly(out)
 
 
 def _implicit_series(model: Model, C: XYPoly, pt: CurvePoint, m: int):

@@ -161,16 +161,16 @@ def test_closed_form_rational_series(s1_rational):
     fx, fy = rational_closed_forms(s1_rational)
     ser = fx.expand(4)
     # [t^2] Q(x,0) = 9/2 x for a=3, b=3/2, unit weights
-    assert ser.coefficient(2) == Poly([0, F(9, 2)], "x")
-    assert ser.coefficient(0) == Poly([1], "x")
+    assert ser.coefficient(2) == Poly([0, F(9, 2)])
+    assert ser.coefficient(0) == Poly([1])
 
 
 def test_closed_form_algebraic_series(s3_unit):
     fx, fy = algebraic_closed_forms(s3_unit)
     ser = fx.expand(4)
-    assert ser.coefficient(2) == Poly([0, 0, 2], "x")
-    assert ser.coefficient(4) == Poly([0, 0, 8, 0, 6], "x")
-    assert ser.coefficient(0) == Poly([1], "x")
+    assert ser.coefficient(2) == Poly([0, 0, 2])
+    assert ser.coefficient(4) == Poly([0, 0, 8, 0, 6])
+    assert ser.coefficient(0) == Poly([1])
 
 
 def test_verify_closed_form_oracle(s1_rational, s3_unit):
@@ -184,13 +184,20 @@ def test_verify_closed_form_oracle(s1_rational, s3_unit):
 
 def test_verify_closed_form_catches_mismatch(s1_rational):
     c = classify(s1_rational)
-    broken = Classification(
-        verdict=c.verdict,
-        closed_forms={"Qx0": c.closed_forms["Q0y"], "Q0y": c.closed_forms["Qx0"]},
-        trail=c.trail,
-    )
-    with pytest.raises(OracleMismatch):
+    fx, fy = c.closed_forms["Qx0"], c.closed_forms["Q0y"]
+    broken = Classification(verdict=c.verdict, closed_forms={"Qx0": fy, "Q0y": fx},
+                            trail=c.trail)
+    with pytest.raises(OracleMismatch) as err:
         verify_closed_form(s1_rational, order=8, classification=broken)
+    # Qx0 is checked first, and the walks agree with fx: the check fails
+    # at the first t-order where the swapped forms differ
+    sx, sy = fx.expand(8), fy.expand(8)
+    first = next(n for n in range(9) if sx.coefficient(n) != sy.coefficient(n))
+    assert err.value.n == first == 1
+    # [t] Q(x, 0) is 0 (no one-step walk ends on the x-axis), while fy
+    # gives (3/2) x: both coefficient lists are quoted
+    assert sy.coefficient(1) == Poly([0, F(3, 2)]) and sx.coefficient(1).is_zero()
+    assert "at t^1 (Qx0: closed form [0, 3/2] vs walks [])" in str(err.value)
 
 
 def test_rational_family_weight_invariance(rng):
@@ -267,8 +274,8 @@ def _body_series(form, order):
     """The reference expansion: 1 - var^p ratio(t) as a TSeries, whose
     inverse() or inv_sqrt() is the form."""
     p = 1 if form.kind == "geometric" else 2
-    coeffs = [Poly.monomial(-c, p, form.var) for c in expand_ratfunc(form.ratio, order)]
-    body = TSeries.const(1, order, form.var) + TSeries(coeffs, order, form.var)
+    coeffs = [Poly.monomial(-c, p) for c in expand_ratfunc(form.ratio, order)]
+    body = TSeries.const(1, order) + TSeries(coeffs, order)
     return body.inverse() if form.kind == "geometric" else body.inv_sqrt()
 
 
@@ -307,7 +314,7 @@ def test_expand_matches_sympy_series():
 
 @pytest.mark.parametrize("kind", ("geometric", "inverse-sqrt"))
 def test_expand_rejects_pole_and_nonzero_constant_term(kind):
-    t = Poly.gen("t")
+    t = Poly.gen()
     for ratio in (RatFunc(Poly.const(1), t), RatFunc(Poly([1, 1]), Poly([1, -1]))):
         with pytest.raises(ValueError):
             ClosedForm(kind, "x", ratio).expand(5)

@@ -177,10 +177,9 @@ def test_monotone_in_step_weights():
 
 
 def test_residual_zero_examples():
-    for tag, a, b in (("S3", 2, 2), ("S1", 1, 1), ("S5", 2, 3)):
-        m = make_model(tag, a=a, b=b) if tag != "S5" else make_model(
-            tag, d=F(1, 2), a=a, b=b
-        )
+    half = {name: F(1, 2) for name in ("d1m1", "dm11", "d10", "d01", "d11")}
+    for tag, a, b, w in (("S3", 2, 2, {}), ("S1", 1, 1, {}), ("S5", 2, 3, half)):
+        m = make_model(tag, a=a, b=b, **w)
         functional_equation_residual(m, enumerate_walks(m, 8))
 
 

@@ -24,7 +24,7 @@ from quadwalk.exactalg import (
 from quadwalk.model import make_model
 from tests import symbolic
 
-T = Poly.gen("t")
+T = Poly.gen()
 
 
 def rf(num, den=None):
@@ -52,9 +52,9 @@ def test_poly_basics():
 
 
 def test_poly_divmod_exact():
-    p = (T + 1) * (T**2 - 2) + Poly([F(1, 3)])
+    p = (T + 1) * (T * T - 2) + Poly([F(1, 3)])
     q, r = p.divmod(T + 1)
-    assert q == T**2 - 2
+    assert q == T * T - 2
     assert r == Poly([F(1, 3)])
 
 
@@ -76,11 +76,15 @@ def test_poly_gcd_divides_both(a, b, g):
 
 
 def test_is_square_examples():
-    ok, w = poly_is_square(T**2 + 2 * T + 1)
+    ok, w = poly_is_square(T * T + 2 * T + 1)
     assert ok and w in (T + 1, -(T + 1))
-    # degree-2 criterion: discriminant of 1 - 4t^2 is 16 != 0
-    ok, _ = poly_is_square(Poly([1, 0, -4]))
-    assert not ok
+    # degrees 0 and 2 take the general path: a leading coefficient that
+    # is no rational square (-4, 2), or a top-down root whose square
+    # misses the constant term (2t for 4t^2 + 1)
+    for p in (Poly([1, 0, -4]), Poly([1, 0, 4]), Poly([2])):
+        assert poly_is_square(p) == (False, None)
+    assert poly_is_square(Poly([F(4, 9)])) == (True, Poly([F(2, 3)]))
+    assert poly_is_square(Poly([1, -4, 4])) == (True, Poly([-1, 2]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,7 +98,7 @@ def test_is_square_of_square(p):
 @settings(max_examples=40, deadline=None)
 @given(polys(3))
 def test_square_times_irreducible_is_not_square(p):
-    irred = T**2 + 1  # no rational roots, not a rational square
+    irred = T * T + 1  # no rational roots, not a rational square
     ok, _ = poly_is_square(p * p * irred)
     assert ok == p.is_zero()
 
@@ -111,7 +115,7 @@ def test_is_square_xpoly_degree_one():
 
 
 def test_ratfunc_normalize_examples():
-    f = RatFunc(T**2 + T, T)
+    f = RatFunc(T * T + T, T)
     assert f.num == T + 1 and f.den == Poly([1])
     z = RatFunc(Poly.zero(), Poly([1, 1]))
     assert z.num.is_zero() and z.den == Poly([1])
@@ -362,10 +366,6 @@ def test_ratfunc_zero_operands(f):
         assert (got.num, got.den) == (f.num, f.den)
     for got in (f * zero, zero * f):
         assert got.is_zero() and got.den == Poly.const(1)
-    with pytest.raises(ValueError):
-        RatFunc(Poly([1, 1], "s")) + zero
-    with pytest.raises(ValueError):
-        zero * RatFunc(Poly([1, 1], "s"))
 
 
 @pytest.mark.parametrize("f", FAST_RATS + [rf([0]), rf([0, 0, 4], [6, 0, 2])])

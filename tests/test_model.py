@@ -1,5 +1,6 @@
 """Model layer: supports, weights, kernel, gamma functions, JSON."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,7 @@ from quadwalk.model import (
 from tests.conftest import SUPPORTS, random_model
 from tests.reference import kernel_by_poly_arithmetic
 
-T = Poly.gen("t")
+T = Poly.gen()
 
 
 def test_supports():
@@ -145,7 +146,7 @@ def test_kernel_matches_poly_arithmetic(tag, rng):
         for _ in range(25):
             m = draw(tag, rng)
             ref = kernel_by_poly_arithmetic(m)
-            assert m.K.terms == ref.terms and m.K.tvar == ref.tvar
+            assert m.K.terms == ref.terms
             assert list(m.K.terms) == list(ref.terms)
 
 
@@ -155,6 +156,20 @@ def test_stepset_value_semantics():
     assert StepSet("S3") == StepSet("S3") and hash(StepSet("S3")) == hash(StepSet("S3"))
     assert StepSet("S3") != StepSet("S4") and StepSet("S3") != "S3"
     assert len({StepSet("S1"), StepSet("S1"), StepSet("S2")}) == 2
+
+
+def test_random_model_draw_ignores_step_iteration_order(monkeypatch):
+    """A seed pins the model random_model draws, even when the support's
+    steps iterate in another order (here: reversed)."""
+    def draw():
+        rng = random.Random(20240831)
+        return [random_model(tag, rng) for tag in SUPPORTS for _ in range(2)]
+
+    before = draw()
+    steps = StepSet.steps
+    monkeypatch.setattr(StepSet, "steps", property(lambda ss: tuple(steps.fget(ss))[::-1]))
+    for m, n in zip(before, draw(), strict=True):
+        assert (m.weighting.d, m.a, m.b) == (n.weighting.d, n.a, n.b)
 
 
 def test_weighting_builds_the_same_model():
