@@ -156,15 +156,15 @@ def cmd_phase_scan(args) -> int:
     return EXIT_OK
 
 
-def _decimal(r: Fraction, digits: int = 12) -> str:
-    """Exact rational rendered as a decimal string."""
+def _decimal(r: Fraction) -> str:
+    """Exact rational rendered as a decimal string, truncated to 12 places."""
     if r.denominator == 1:
         return str(r.numerator)
     sign = "-" if r < 0 else ""
     r = abs(r)
     whole, rem = divmod(r.numerator, r.denominator)
     out = []
-    for _ in range(digits):
+    for _ in range(12):
         if rem == 0:
             break
         rem *= 10

@@ -22,8 +22,11 @@ The divisor 1/(t d) is a scalar of Q(t), so each involution is a
 Q(t)-scalar map on the two parts of z = p + q w: p goes to
 (p - t c)/(t d) and q to q/(t d), and no field inverse is taken.
 
-The critical points, the critical sets and the orbit base points are
-all checked to lie on the curve.  The check (on_curve) clears
+Each point is checked to lie on the curve once, where it is built:
+critical_points checks P1..P4 and critical_sets the eight images.  The
+involutions and the orbit walk take a point on the curve and check
+nothing, so every point downstream is one of these checked objects or
+an exact image of one.  The check (on_curve) clears
 denominators instead of normalising in Q(t): writing each coordinate as
 (P + Q w)/L with P, Q, L in Q[t] and w^2 = Dn/Dd the radicand of its
 extension, C(x1, y1) Lx^2 Ly^2 Dd = R + Dd S w with R, S built from
@@ -58,8 +61,6 @@ y1.  No local series is expanded.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import (
     DegenerateWeights,
@@ -97,12 +98,6 @@ class CurvePoint:
         return f"CurvePoint(x1={self.x1!r}, y1={self.y1!r})"
 
 
-def _as_elem(v) -> QuadExtElem:
-    if not isinstance(v, (QuadExtElem, RatFunc, Poly, int, Fraction)):
-        raise TypeError(f"not a coordinate: {type(v).__name__}")
-    return v if isinstance(v, QuadExtElem) else QuadExtElem(v)
-
-
 def curve_equation(model: Model) -> XYPoly:
     """C(x1, y1), the kernel K in the reciprocal chart, as an XYPoly
     whose (i, j) key means x1^i y1^j."""
@@ -110,15 +105,15 @@ def curve_equation(model: Model) -> XYPoly:
 
 
 def evaluate_xy(p: XYPoly, x_val: QuadExtElem, y_val: QuadExtElem) -> QuadExtElem:
-    total = _as_elem(0)
-    xpow = {0: _as_elem(1)}
-    ypow = {0: _as_elem(1)}
+    total = QuadExtElem(0)
+    xpow = {0: QuadExtElem(1)}
+    ypow = {0: QuadExtElem(1)}
     for (i, j), c in sorted(p.terms.items()):
         if i not in xpow:
             xpow[i] = x_val**i
         if j not in ypow:
             ypow[j] = y_val**j
-        total = total + _as_elem(RatFunc(c)) * xpow[i] * ypow[j]
+        total = total + QuadExtElem(c) * xpow[i] * ypow[j]
     return total
 
 
@@ -183,28 +178,24 @@ def _fiber_sum(z: QuadExtElem, c, d) -> QuadExtElem:
     return QuadExtElem(p, over_td(q.num, q.den), z.ctx)
 
 
-def apply_iota1(model: Model, pt: CurvePoint, check: bool = True) -> CurvePoint:
+def apply_iota1(model: Model, pt: CurvePoint) -> CurvePoint:
     """First involution: keeps x1, swaps the two y1 roots of its fiber."""
-    if check:
-        _require_on_curve(model, pt)
     s = _fiber_sum(pt.x1, model.d(1, 0), model.d(1, -1))
     return CurvePoint(pt.x1, s - pt.y1)
 
 
-def apply_iota2(model: Model, pt: CurvePoint, check: bool = True) -> CurvePoint:
+def apply_iota2(model: Model, pt: CurvePoint) -> CurvePoint:
     """Second involution: keeps y1, swaps the two x1 roots of its fiber."""
-    if check:
-        _require_on_curve(model, pt)
     s = _fiber_sum(pt.y1, model.d(0, 1), model.d(-1, 1))
     return CurvePoint(s - pt.x1, pt.y1)
 
 
-def apply_sigma(model: Model, pt: CurvePoint, check: bool = True) -> CurvePoint:
-    return apply_iota2(model, apply_iota1(model, pt, check), False)
+def apply_sigma(model: Model, pt: CurvePoint) -> CurvePoint:
+    return apply_iota2(model, apply_iota1(model, pt))
 
 
-def apply_sigma_inverse(model: Model, pt: CurvePoint, check: bool = True) -> CurvePoint:
-    return apply_iota1(model, apply_iota2(model, pt, check), False)
+def apply_sigma_inverse(model: Model, pt: CurvePoint) -> CurvePoint:
+    return apply_iota1(model, apply_iota2(model, pt))
 
 
 # -- critical points ----------------------------------------------------
@@ -277,8 +268,8 @@ def _gamma1_zeros(A, d1m1, dm11, d10, d01, d11):
         r1, r2, _ = _solve_quadratic(a2, a1, a0)
         slope = QuadExtElem(RatFunc(Poly.const(A), t.scale(d1m1)))
         return (r1, slope * r1), (r2, slope * r2)
-    r1, r2, _ = _solve_quadratic(RatFunc.const(dm11), RatFunc.const(d01), RatFunc.const(d11))
-    zero = QuadExtElem(RatFunc.const(0))
+    r1, r2, _ = _solve_quadratic(RatFunc(dm11), RatFunc(d01), RatFunc(d11))
+    zero = QuadExtElem(0)
     return (r1, zero), (r2, zero)
 
 
@@ -312,8 +303,8 @@ def critical_sets(model: Model) -> CriticalSets:
     use it; P1..P4 were checked by critical_points, the eight images
     are checked here."""
     p1, p2, p3, p4 = critical_points(model)
-    i1 = lambda q: apply_iota1(model, q, check=False)
-    i2 = lambda q: apply_iota2(model, q, check=False)
+    i1 = lambda q: apply_iota1(model, q)
+    i2 = lambda q: apply_iota2(model, q)
     i1p1, i1p2, i2p3, i2p4 = i1(p1), i1(p2), i2(p3), i2(p4)
     sp1, sp2 = i2(i1p1), i2(i1p2)  # sigma = iota2 . iota1
     si3, si4 = i1(i2p3), i1(i2p4)  # sigma^-1 = iota1 . iota2
@@ -438,10 +429,10 @@ def _linear_fiber_zeros(model: Model, P: XYPoly, swap: bool):
         roots = []
     out = []
     for r, m in roots:
-        c0_r = _as_elem(0)
+        c0_r = QuadExtElem(0)
         for (k, _), v in c0.terms.items():
-            c0_r = c0_r + _as_elem(v) * (r**k if k else _as_elem(1))
-        val = -(c0_r / _as_elem(c1))  # y1 = -c0(x1)/c1
+            c0_r = c0_r + QuadExtElem(v) * (r**k if k else QuadExtElem(1))
+        val = -(c0_r / QuadExtElem(c1))  # y1 = -c0(x1)/c1
         out.append((CurvePoint(val, r) if swap else CurvePoint(r, val), m))
     return out
 
@@ -453,7 +444,7 @@ def _coordinate_zeros(model: Model, which: str):
         a2, a1, a0 = model.d(1, -1), model.d(1, 0), model.d(1, 1)
     else:
         a2, a1, a0 = model.d(-1, 1), model.d(0, 1), model.d(1, 1)
-    roots = _fiber_roots(RatFunc.const(a2), RatFunc.const(a1), RatFunc.const(a0))
-    zero = _as_elem(0)
+    roots = _fiber_roots(RatFunc(a2), RatFunc(a1), RatFunc(a0))
+    zero = QuadExtElem(0)
     return [(CurvePoint(zero, r) if which == "x1" else CurvePoint(r, zero), m)
             for r, m in roots]

@@ -48,10 +48,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @classmethod
-    def const(cls, c):
-        return cls(Poly.const(c))
-
     def is_zero(self):
         return self.num.is_zero()
 

@@ -155,7 +155,7 @@ def xpoly_is_square(p: XYPoly):
     d = max(coeffs)
     if d % 2 == 1:
         return False
-    zero = RatFunc.const(0)
+    zero = RatFunc(0)
     if d == 0:
         return ratfunc_is_square(coeffs[0])[0]
     if d == 2:

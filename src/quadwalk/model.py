@@ -68,9 +68,6 @@ class Weighting:
     def __init__(self, d: dict, a: Fraction, b: Fraction):
         self.d, self.a, self.b = d, a, b
 
-    def weight(self, step) -> Fraction:
-        return self.d.get(tuple(step), Fraction(0))
-
 
 class Model:
     """A validated weighted model with its derived kernel data."""
@@ -85,9 +82,9 @@ class Model:
         self.omega = 1 - self.A - self.B
         self.K = _kernel(weighting)
 
-    # step weights by name, 0 when absent
+    # step weights by name, 0 when absent (build_model fills all five)
     def d(self, i, j) -> Fraction:
-        return self.weighting.weight((i, j))
+        return self.weighting.d[(i, j)]
 
     @property
     def tag(self):
@@ -118,7 +115,7 @@ class Model:
 def _kernel(w: Weighting) -> XYPoly:
     terms = {(1, 1): 1}
     for (i, j) in ALL_STEPS:
-        c = w.weight((i, j))
+        c = w.d[(i, j)]
         if c:
             terms[(i + 1, j + 1)] = Poly((0, -c))
     return XYPoly(terms)

@@ -27,13 +27,8 @@ from .curve import (
     apply_sigma,
     apply_sigma_inverse,
     critical_sets,
-    on_curve,
 )
-from .errors import (
-    OffCurveInput,
-    OrbitRegimeNotReached,
-    TableCellMismatch,
-)
+from .errors import OrbitRegimeNotReached, TableCellMismatch
 from .exactalg import INF
 from .model import Model
 
@@ -86,10 +81,10 @@ class OrbitProfile:
         """sigma^n of the base point, extending the cache on demand."""
         lo, hi = min(self.points), max(self.points)
         while n > hi:
-            self.points[hi + 1] = apply_sigma(model, self.points[hi], check=False)
+            self.points[hi + 1] = apply_sigma(model, self.points[hi])
             hi += 1
         while n < lo:
-            self.points[lo - 1] = apply_sigma_inverse(model, self.points[lo], check=False)
+            self.points[lo - 1] = apply_sigma_inverse(model, self.points[lo])
             lo -= 1
         return self.points[n]
 
@@ -100,11 +95,11 @@ class OrbitProfile:
             for start, sign in ((self.fwd_start, 1), (self.bwd_start, -1)):
                 v0 = self.valuations[start]
                 d = abs(v0.vx - v0.vy)
-                # target = v0 - 2dk componentwise, k >= 1
+                # target = v0 - 2dk componentwise; num > 0 makes k >= 1
                 num = v0.vx - target.vx
                 if d > 0 and num > 0 and num % (2 * d) == 0:
                     k = num // (2 * d)
-                    if v0.vy - 2 * d * k == target.vy and k >= 1:
+                    if v0.vy - 2 * d * k == target.vy:
                         n = start + sign * int(k)
                         if n not in cands:
                             cands.append(n)
@@ -122,9 +117,11 @@ def orbit_profile(model: Model, pt: CurvePoint) -> OrbitProfile:
     each direction, which the theory rules out for critical points
     (certification within two steps, three in the boundary-weight-free
     cases).
+
+    The base must lie on the curve, and is not checked again here: every
+    base is a point that critical_points or critical_sets returned, and
+    those check each point they build.
     """
-    if not on_curve(model, pt):
-        raise OffCurveInput("orbit base point is not on the curve")
     points = {0: pt}
     vals = {0: bivaluation(pt)}
 
@@ -138,12 +135,12 @@ def orbit_profile(model: Model, pt: CurvePoint) -> OrbitProfile:
     bwd = 0 if certified_bwd(vals[0]) else None
     for n in range(1, MAX_WINDOW + 1):
         if fwd is None:
-            points[n] = apply_sigma(model, points[n - 1], check=False)
+            points[n] = apply_sigma(model, points[n - 1])
             vals[n] = bivaluation(points[n])
             if certified_fwd(vals[n]):
                 fwd = n
         if bwd is None:
-            points[-n] = apply_sigma_inverse(model, points[-(n - 1)], check=False)
+            points[-n] = apply_sigma_inverse(model, points[-(n - 1)])
             vals[-n] = bivaluation(points[-n])
             if certified_bwd(vals[-n]):
                 bwd = -n
@@ -216,9 +213,11 @@ def build_matrices(model: Model, sets: CriticalSets | None = None):
         sets = critical_sets(model)
     profiles = {}
 
+    # sets holds every row point for the whole call, so an id is never
+    # reused for another point while profiles is alive
     def dist(p, q):
         key = id(p)
-        if key not in profiles or profiles[key].base is not p:
+        if key not in profiles:
             profiles[key] = orbit_profile(model, p)
         return sigma_distance(model, p, q, profiles[key])
 

@@ -25,7 +25,6 @@ import json
 
 from quadwalk.curve import (
     CurvePoint,
-    _as_elem,
     _coordinate_zeros,
     _linear_fiber_zeros,
     _monomial_content,
@@ -62,11 +61,11 @@ def iota_by_field_division(model, pt, which):
 def iota1_quotient_form(model: Model, pt: CurvePoint) -> QuadExtElem:
     """y1 image by the product-of-roots formula; needs y1 != 0."""
     num = (
-        _as_elem(model.d(-1, 1)) * pt.x1 * pt.x1
-        + _as_elem(model.d(0, 1)) * pt.x1
-        + _as_elem(model.d(1, 1))
+        QuadExtElem(model.d(-1, 1)) * pt.x1 * pt.x1
+        + QuadExtElem(model.d(0, 1)) * pt.x1
+        + QuadExtElem(model.d(1, 1))
     )
-    return num / (_as_elem(model.d(1, -1)) * pt.y1)
+    return num / (QuadExtElem(model.d(1, -1)) * pt.y1)
 
 
 def step_valuation_forward(v: Bivaluation) -> Bivaluation:
@@ -110,13 +109,13 @@ def series_from_json(text: str) -> SeriesTruncation:
 def _series_eval_xy(p: XYPoly, xs: list, ys: list, m: int):
     """Evaluate p on truncated tau-series coordinates (lists of field
     elements, index = power of the local parameter)."""
-    zero = _as_elem(0)
+    zero = QuadExtElem(0)
     out = [zero for _ in range(m + 1)]
     cache = {"x": {}, "y": {}}
 
     def pow_series(base, n, tag):
         if n == 0:
-            return [_as_elem(1)] + [zero] * m
+            return [QuadExtElem(1)] + [zero] * m
         store = cache[tag]
         if n in store:
             return store[n]
@@ -128,7 +127,7 @@ def _series_eval_xy(p: XYPoly, xs: list, ys: list, m: int):
         return res
 
     for (i, j), c in sorted(p.terms.items()):
-        coeff = _as_elem(RatFunc(c))
+        coeff = QuadExtElem(c)
         term = _series_mul(pow_series(xs, i, "x"), pow_series(ys, j, "y"), m)
         for k in range(m + 1):
             out[k] = out[k] + coeff * term[k]
@@ -136,7 +135,7 @@ def _series_eval_xy(p: XYPoly, xs: list, ys: list, m: int):
 
 
 def _series_mul(a, b, m):
-    zero = _as_elem(0)
+    zero = QuadExtElem(0)
     out = [zero for _ in range(m + 1)]
     for i, ai in enumerate(a):
         if i > m or ai.is_zero():
@@ -168,7 +167,7 @@ def point_order(model: Model, P: XYPoly, pt: CurvePoint, max_depth: int = 16) ->
     m = 4
     while m <= max_depth:
         ys = _implicit_series(model, C, pt, m)
-        xs = [pt.x1, _as_elem(1)] + [_as_elem(0)] * (m - 1)
+        xs = [pt.x1, QuadExtElem(1)] + [QuadExtElem(0)] * (m - 1)
         vals = _series_eval_xy(P, xs, ys, m)
         for k, v in enumerate(vals):
             if not v.is_zero():
@@ -193,8 +192,8 @@ def _implicit_series(model: Model, C: XYPoly, pt: CurvePoint, m: int):
     """y1 = phi(x1) on the curve near pt, as a tau = x1 - x1(pt) series."""
     Cy0 = evaluate_xy(_partial(C, "y"), pt.x1, pt.y1)
     inv = Cy0.inverse()
-    xs = [pt.x1, _as_elem(1)] + [_as_elem(0)] * (m - 1)
-    ys = [pt.y1] + [_as_elem(0)] * m
+    xs = [pt.x1, QuadExtElem(1)] + [QuadExtElem(0)] * (m - 1)
+    ys = [pt.y1] + [QuadExtElem(0)] * m
     for k in range(1, m + 1):
         res = _series_eval_xy(C, xs, ys, k)
         ck = -(res[k] * inv)

@@ -173,22 +173,22 @@ def test_criterion_7_distance_arithmetic():
                     # (i) antisymmetry
                     assert delta(q, p) == (None if base is None else -base)
                     # (iv) involutions reverse the distance
-                    assert delta(apply_iota1(m, q, False), apply_iota1(m, p, False)) == base
-                    assert delta(apply_iota2(m, q, False), apply_iota2(m, p, False)) == base
+                    assert delta(apply_iota1(m, q), apply_iota1(m, p)) == base
+                    assert delta(apply_iota2(m, q), apply_iota2(m, p)) == base
                     # (iii) shifting the target adds one
                     shifted = q
                     for k in range(1, 4):
-                        shifted = apply_sigma(m, shifted, check=False)
+                        shifted = apply_sigma(m, shifted)
                         want = None if base is None else base + k
                         assert delta(p, shifted) == want
                     shifted = q
                     for k in range(1, 4):
-                        shifted = apply_sigma_inverse(m, shifted, check=False)
+                        shifted = apply_sigma_inverse(m, shifted)
                         want = None if base is None else base - k
                         assert delta(p, shifted) == want
                 # (ii) additivity along the orbit chain
-                q1 = apply_sigma(m, p, check=False)
-                q3 = apply_sigma(m, apply_sigma(m, q1, check=False), check=False)
+                q1 = apply_sigma(m, p)
+                q3 = apply_sigma(m, apply_sigma(m, q1))
                 assert delta(p, q1) == 1
                 assert sigma_distance(m, q1, q3) == 2
                 assert delta(p, q3) == 3

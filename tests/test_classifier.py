@@ -2,11 +2,13 @@
 confinement, the edge case, final verdicts and closed forms."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
+from quadwalk import classifier, curve, sigmadist
 from quadwalk.classifier import (
     Classification,
     ClosedForm,
@@ -29,7 +31,7 @@ from quadwalk.exactalg import Poly, RatFunc, TSeries, expand_ratfunc
 from quadwalk.model import make_model
 from quadwalk.sigmadist import build_matrices
 from tests import symbolic
-from tests.conftest import ab_from_AB, random_model
+from tests.conftest import SUPPORTS, ab_from_AB, random_model
 
 
 def test_identity_lemmas_hold(rng):
@@ -149,6 +151,41 @@ def test_classify_theorem_cases(s1_rational, s3_unit):
     assert c.verdict == "NotDAlgebraic" and c.closed_forms is None
     rules = [e["rule"] for e in c.trail]
     assert "homogeneous-no-solution" in rules
+
+
+@pytest.mark.parametrize("tag", SUPPORTS)
+def test_each_point_checked_once_where_built(tag, monkeypatch):
+    # on_curve runs once per distinct critical-set point, inside
+    # critical_points/critical_sets, and every orbit base is one of the
+    # checked objects: the involutions and orbit_profile check nothing
+    checked, bases, built = [], [], []
+    on_curve, orbit_profile = curve.on_curve, sigmadist.orbit_profile
+    make_sets = classifier.critical_sets
+
+    def counting_on_curve(model, pt):
+        checked.append(pt)
+        return on_curve(model, pt)
+
+    def recording_orbit_profile(model, pt):
+        bases.append(pt)
+        return orbit_profile(model, pt)
+
+    def recording_critical_sets(model):
+        built.append(make_sets(model))
+        return built[-1]
+
+    # every module that imported on_curve holds its own alias
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("quadwalk") and getattr(mod, "on_curve", None) is on_curve:
+            monkeypatch.setattr(mod, "on_curve", counting_on_curve)
+    monkeypatch.setattr(sigmadist, "orbit_profile", recording_orbit_profile)
+    monkeypatch.setattr(classifier, "critical_sets", recording_critical_sets)
+    assert classify(make_model(tag, a=2, b=3)).verdict != "Rational"
+    (sets,) = built
+    points = {id(p): p for p in sets.L1_minus + sets.L1_plus + sets.L2_minus + sets.L2_plus}
+    assert len(points) == 12
+    assert len(checked) == 12 and {id(p) for p in checked} == points.keys()
+    assert bases and all(id(b) in points for b in bases)
 
 
 def test_classify_edge_case_trail():

@@ -237,7 +237,7 @@ def test_surd_class_mismatch_exit_code(s3_file, monkeypatch, capsys):
         w1 = QuadExtElem.sqrt(QuadExt(RatFunc(Poly([4, 4]))))
         ctx = QuadExt(RatFunc(Poly([1, 1])))
         ctx.c = F(2)
-        return w1.equals(QuadExtElem(RatFunc.const(0), RatFunc.const(2), ctx))
+        return w1.equals(QuadExtElem(RatFunc(0), RatFunc(2), ctx))
 
     monkeypatch.setattr(cli_mod.classifier, "classify", compares_tampered_branches)
     assert main(["classify", "--model", s3_file]) == EXIT_CONTRACT

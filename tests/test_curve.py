@@ -10,6 +10,7 @@ from quadwalk.classifier import _u_lambda
 from quadwalk.curve import (
     CurvePoint,
     _poly_zeros,
+    _require_on_curve,
     _solve_quadratic,
     apply_iota1,
     apply_iota2,
@@ -42,7 +43,7 @@ T = Poly.gen()
 
 
 def test_curve_point_is_unhashable():
-    one = QuadExtElem(RatFunc.const(1))
+    one = QuadExtElem(RatFunc(1))
     assert CurvePoint(one, one) == CurvePoint(x1=one, y1=one)
     with pytest.raises(TypeError):
         hash(CurvePoint(one, one))
@@ -110,9 +111,9 @@ def test_orbit_stays_on_curve(s3_unit):
     p = critical_points(s3_unit)[0]
     cur = p
     for _ in range(10):
-        cur = apply_sigma(s3_unit, cur, check=False)
+        cur = apply_sigma(s3_unit, cur)
         assert on_curve(s3_unit, cur)
-        assert apply_iota1(s3_unit, cur, check=False).x1.equals(cur.x1)
+        assert apply_iota1(s3_unit, cur).x1.equals(cur.x1)
 
 
 def _on_curve_reference(m, pt):
@@ -125,7 +126,7 @@ def _mixed_points(m):
     1 - 2et + ... are non-squares, with t-discriminants 16 a (b + e + f)
     and 16 b (a + c + f) nonzero because a = d1m1 and b = dm11 are."""
     t = RatFunc(Poly.gen())
-    one = QuadExtElem(RatFunc.const(1))
+    one = QuadExtElem(RatFunc(1))
     ys = _solve_quadratic(-t * m.d(1, -1), 1 - t * m.d(1, 0),
                           -t * (m.d(-1, 1) + m.d(0, 1) + m.d(1, 1)))[:2]
     xs = _solve_quadratic(-t * m.d(-1, 1), 1 - t * m.d(0, 1),
@@ -144,7 +145,7 @@ def _off_curve_variants(m, pt):
     moved = [CurvePoint(pt.x1 + t3, pt.y1), CurvePoint(pt.x1, pt.y1 * 2)]
     if not pt.x1.q.is_zero():
         moved.append(CurvePoint(QuadExtElem(pt.x1.p, -pt.x1.q, pt.x1.ctx), pt.y1))
-    fiber = (pt, apply_iota1(m, pt, False), apply_iota2(m, pt, False))
+    fiber = (pt, apply_iota1(m, pt), apply_iota2(m, pt))
     out = [q for q in moved if q not in fiber]
     a, b, c, e = m.d(1, -1), m.d(-1, 1), m.d(1, 0), m.d(0, 1)
     if not (pt.x1 == pt.y1 or ((a - b) * (pt.x1 + pt.y1) + (c - e)).is_zero()):
@@ -174,15 +175,15 @@ def test_on_curve_matches_reference(rng):
         off = [q for p in pts for q in _off_curve_variants(m, p)]
         # w^2 = -(b + e + f)/a gives C(1, w) = (1 - ct) w: only the
         # radical part is nonzero
-        radicand = RatFunc.const(-(m.d(-1, 1) + m.d(0, 1) + m.d(1, 1)) / m.d(1, -1))
-        off.append(CurvePoint(QuadExtElem(RatFunc.const(1)), QuadExtElem.sqrt(QuadExt(radicand))))
+        radicand = RatFunc(-(m.d(-1, 1) + m.d(0, 1) + m.d(1, 1)) / m.d(1, -1))
+        off.append(CurvePoint(QuadExtElem(RatFunc(1)), QuadExtElem.sqrt(QuadExt(radicand))))
         pts += [_over_fractional_radicand(p) for p in pts
                 if not (p.x1.q.is_zero() and p.y1.q.is_zero())]
         for base in (s.L1_minus[0], s.L2_plus[2]):  # P1, P3
             fwd = bwd = base
             for _ in range(3):
-                fwd = apply_sigma(m, fwd, check=False)
-                bwd = apply_sigma_inverse(m, bwd, check=False)
+                fwd = apply_sigma(m, fwd)
+                bwd = apply_sigma_inverse(m, bwd)
                 pts += [fwd, bwd]
         for p in pts:
             assert on_curve(m, p) and _on_curve_reference(m, p)
@@ -191,13 +192,14 @@ def test_on_curve_matches_reference(rng):
 
 
 def test_off_curve_rejected(s3_unit):
-    one = QuadExtElem(RatFunc.const(1))
+    one = QuadExtElem(RatFunc(1))
     p1 = critical_points(s3_unit)[0]
     mixed = _mixed_points(s3_unit)[0]
     for bad in ([CurvePoint(one, one)] + _off_curve_variants(s3_unit, p1)
                 + _off_curve_variants(s3_unit, mixed)):
+        assert not on_curve(s3_unit, bad)
         with pytest.raises(OffCurveInput):
-            apply_iota1(s3_unit, bad)
+            _require_on_curve(s3_unit, bad)
 
 
 def test_critical_sets_structure():
@@ -206,7 +208,7 @@ def test_critical_sets_structure():
     p1, p2, p3, p4 = critical_points(m)
     assert s.L1_minus[0] == p1 and s.L1_minus[1] == p2
     # L1+ = iota1(L1-) elementwise
-    for lhs, rhs in zip(s.L1_plus, [apply_iota1(m, q, False) for q in s.L1_minus]):
+    for lhs, rhs in zip(s.L1_plus, [apply_iota1(m, q) for q in s.L1_minus]):
         assert lhs == rhs
     # L2+ shares the first two entries with L1+
     assert s.L2_plus[0] == s.L1_plus[0] and s.L2_plus[1] == s.L1_plus[1]
@@ -332,13 +334,13 @@ def test_involutions_match_field_division(rng):
         for base in (s.L1_minus[0], s.L2_plus[2]):  # P1, P3
             fwd = bwd = base
             for _ in range(3):
-                fwd = apply_sigma(m, fwd, check=False)
-                bwd = apply_sigma_inverse(m, bwd, check=False)
+                fwd = apply_sigma(m, fwd)
+                bwd = apply_sigma_inverse(m, bwd)
                 pts += [fwd, bwd]
         assert any(not p.x1.q.is_zero() for p in pts) or tag in ("S1", "S2")
         for p in pts:
             for which, iota in ((1, apply_iota1), (2, apply_iota2)):
-                got, ref = iota(m, p, False), iota_by_field_division(m, p, which)
+                got, ref = iota(m, p), iota_by_field_division(m, p, which)
                 assert _same_elem(got.x1, ref.x1) and _same_elem(got.y1, ref.y1), (tag, which, p)
 
 
@@ -385,7 +387,7 @@ def test_divisor_matches_point_order(rng):
 
 
 def test_divisor_special_orders():
-    zero = QuadExtElem(RatFunc.const(0))
+    zero = QuadExtElem(RatFunc(0))
     # S1 (d10 = d11 = 0): x1 = 0 meets the curve only at (0, 0), doubly
     m = make_model("S1", a=5, b=2)
     assert curve_divisor(m, X1) == [(CurvePoint(zero, zero), 2)]

@@ -42,7 +42,7 @@ def test_bivaluation_examples():
     m0 = make_model("S1", a=1, b=2)
     _, q2, _, _ = critical_points(m0)
     assert bivaluation(q2) == Bivaluation(0, INF)
-    one = QuadExtElem(RatFunc.const(1))
+    one = QuadExtElem(RatFunc(1))
     assert bivaluation(CurvePoint(one, one)) == Bivaluation(0, 0)
 
 
@@ -81,7 +81,7 @@ def test_orbit_tail_matches_lemma(s3_unit):
         cur = base
         for _ in range(6):
             v = bivaluation(cur)
-            nxt = apply_sigma(s3_unit, cur, check=False)
+            nxt = apply_sigma(s3_unit, cur)
             try:
                 predicted = step_valuation_forward(v)
             except ValueError:
@@ -119,11 +119,11 @@ def test_sigma_distance_self_consistency(s3_unit):
     for base in critical_points(s3_unit)[:2]:
         target = base
         for k in range(1, 6):
-            target = apply_sigma(s3_unit, target, check=False)
+            target = apply_sigma(s3_unit, target)
             assert sigma_distance(s3_unit, base, target) == k
         target = base
         for k in range(1, 6):
-            target = apply_sigma_inverse(s3_unit, target, check=False)
+            target = apply_sigma_inverse(s3_unit, target)
             assert sigma_distance(s3_unit, base, target) == -k
         assert sigma_distance(s3_unit, base, base) == 0
 
@@ -138,7 +138,7 @@ def test_distance_arithmetic_identities(rng):
         m = random_model(tag, rng)
         p1, p2, p3, p4 = critical_points(m)
         pts = [p1, p2, p3, p4]
-        shifted = [apply_sigma(m, p, check=False) for p in pts[:2]]
+        shifted = [apply_sigma(m, p) for p in pts[:2]]
         pool = pts + shifted
         for p in pool[:4]:
             for q in pool:
@@ -147,12 +147,12 @@ def test_distance_arithmetic_identities(rng):
                 assert (d is None) == (back is None)
                 if d is not None:
                     assert back == -d
-                    assert _delta(m, p, apply_sigma(m, q, check=False)) == d + 1
-                assert _delta(m, apply_iota1(m, q, False), apply_iota1(m, p, False)) == d
-                assert _delta(m, apply_iota2(m, q, False), apply_iota2(m, p, False)) == d
+                    assert _delta(m, p, apply_sigma(m, q)) == d + 1
+                assert _delta(m, apply_iota1(m, q), apply_iota1(m, p)) == d
+                assert _delta(m, apply_iota2(m, q), apply_iota2(m, p)) == d
         # additivity on a finite chain
-        q1 = apply_sigma(m, p1, check=False)
-        q2 = apply_sigma(m, q1, check=False)
+        q1 = apply_sigma(m, p1)
+        q2 = apply_sigma(m, q1)
         assert _delta(m, p1, q1) == 1 and _delta(m, q1, q2) == 1
         assert _delta(m, p1, q2) == 2
 
